@@ -121,7 +121,7 @@ def _write_block(fh, name: str, arr: np.ndarray):
     if arr.dtype.name not in _DTYPE_CODES:
         arr = arr.astype(np.int64 if arr.dtype.kind == "i" else np.float64)
     code = _DTYPE_CODES[arr.dtype.name]
-    data = np.ascontiguousarray(arr).astype(_DTYPES[code]).tobytes()
+    data = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
     nb = name.encode("utf-8")
     fh.write(struct.pack("<H", len(nb)))
     fh.write(nb)
@@ -146,7 +146,7 @@ def _read_block(fh):
     if zlib.crc32(data) != crc:
         raise ArtifactError(f"checksum mismatch in tensor block {name!r}")
     arr = np.frombuffer(data, dtype=_DTYPES[code]).reshape(shape)
-    return name, arr.astype(arr.dtype.newbyteorder("=")).copy()
+    return name, arr.astype(arr.dtype.newbyteorder("="))
 
 
 def save_artifact(path: str | Path, cfg: RunConfig, vocab: Vocabulary,

@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ArtifactError, OSError, ValueError) as exc:
+    except (ArtifactError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,8 @@ backpropagates output-side gradients exactly through every step — no
 truncation.  Output scoring (softmax and its factored variants) lives in
 ``output_layer``; the optional score-side weights (``w_out``, ``w_direct``,
 ``b_out``) are kept on the parameter objects so a plain full-softmax model
-is self-contained.
+is self-contained.  The embedding gradient ``emb`` is row-compact (see
+``numerics.Gradients``): it holds one row per distinct input word.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import init_matrix, sigmoid, sigmoid_deriv, tanh_deriv
+from .numerics import Gradients, init_matrix, sigmoid, sigmoid_deriv, tanh_deriv
 
 Arrays = dict[str, np.ndarray]
 
@@ -44,6 +45,13 @@ def _maybe_output(k, n_h, n_i, rng, direct, bias, output):
 def _check_indices(indices: np.ndarray, k: int):
     if len(indices) and (indices.min() < 0 or indices.max() >= k):
         raise ValueError(f"word index out of range for vocabulary of size {k}")
+
+
+def _zero_grads(p) -> Gradients:
+    """Zero gradients for every core array but ``emb``, which the backward
+    pass stores row-compact."""
+    return Gradients({name: np.zeros_like(a)
+                      for name, a in p.core_arrays().items() if name != "emb"})
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +156,18 @@ class FnnCore:
             states.append(h)
         return FnnTape(contexts, xs, states)
 
-    def backward(self, tape: FnnTape, d_states, d_inputs=None) -> Arrays:
+    def backward(self, tape: FnnTape, d_states, d_inputs=None) -> Gradients:
         p = self.params
         if len(d_states) != len(tape.states):
             raise ValueError(
                 f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
             )
-        g = {name: np.zeros_like(a) for name, a in p.core_arrays().items()}
+        g = _zero_grads(p)
         m = p.m
+        words = np.concatenate([np.zeros(0, np.int64), *tape.contexts])
+        rows, slot = np.unique(words, return_inverse=True)
+        slot = slot.reshape(-1, p.n - 1)
+        d_emb = np.zeros((len(rows), m))
         for t in range(len(d_states) - 1, -1, -1):
             h = tape.states[t]
             da = d_states[t] * tanh_deriv(h)
@@ -165,7 +177,8 @@ class FnnCore:
             dx = p.w_in.T @ da
             if d_inputs is not None and d_inputs[t] is not None:
                 dx = dx + d_inputs[t]
-            np.add.at(g["emb"], tape.contexts[t], dx.reshape(-1, m))
+            np.add.at(d_emb, slot[t], dx.reshape(-1, m))
+        g.set_rows("emb", rows, d_emb)
         return g
 
 
@@ -275,13 +288,15 @@ class RnnCore:
             states.append(s)
         return RnnTape(inputs, xs, states, s0)
 
-    def backward(self, tape: RnnTape, d_states, d_inputs=None) -> Arrays:
+    def backward(self, tape: RnnTape, d_states, d_inputs=None) -> Gradients:
         p = self.params
         if len(d_states) != len(tape.states):
             raise ValueError(
                 f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
             )
-        g = {name: np.zeros_like(a) for name, a in p.core_arrays().items()}
+        g = _zero_grads(p)
+        rows, slot = np.unique(tape.words, return_inverse=True)
+        d_emb = np.zeros((len(rows), p.emb.shape[1]))
         carry = np.zeros(p.n_h)
         for t in range(len(d_states) - 1, -1, -1):
             s = tape.states[t]
@@ -294,8 +309,9 @@ class RnnCore:
             dx = p.w_in.T @ da
             if d_inputs is not None and d_inputs[t] is not None:
                 dx = dx + d_inputs[t]
-            g["emb"][tape.words[t]] += dx
+            d_emb[slot[t]] += dx
             carry = p.w_rec.T @ da
+        g.set_rows("emb", rows, d_emb)
         return g
 
 
@@ -453,13 +469,15 @@ class LstmCore:
             tape.states.append(s)
         return tape
 
-    def backward(self, tape: LstmTape, d_states, d_inputs=None) -> Arrays:
+    def backward(self, tape: LstmTape, d_states, d_inputs=None) -> Gradients:
         p = self.params
         if len(d_states) != len(tape.states):
             raise ValueError(
                 f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
             )
-        gr = {name: np.zeros_like(a) for name, a in p.core_arrays().items()}
+        gr = _zero_grads(p)
+        rows, slot = np.unique(tape.words, return_inverse=True)
+        d_emb = np.zeros((len(rows), p.emb.shape[1]))
         n_h = p.n_h
         ds_carry = np.zeros(n_h)
         dc_carry = np.zeros(n_h)
@@ -506,7 +524,8 @@ class LstmCore:
                 ds_carry = ds_carry + getattr(p, f"w_rec_{gate}").T @ d
             if d_inputs is not None and d_inputs[t] is not None:
                 dx = dx + d_inputs[t]
-            gr["emb"][tape.words[t]] += dx
+            d_emb[slot[t]] += dx
+        gr.set_rows("emb", rows, d_emb)
         return gr
 
 

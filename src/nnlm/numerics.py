@@ -1,10 +1,12 @@
-"""Dense numerics shared by every model core: activations, softmax, seeded init."""
+"""Numerics shared by every model core: activations, softmax, seeded init,
+and the gradient container."""
 
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
+    "Gradients",
     "make_rng",
     "matvec",
     "softmax",
@@ -15,6 +17,41 @@ __all__ = [
     "tanh_deriv",
     "init_matrix",
 ]
+
+
+class Gradients(dict):
+    """Gradient arrays keyed by parameter name.
+
+    A name listed in ``rows`` holds a row-compact gradient: row ``i`` of
+    ``self[name]`` is the gradient of parameter row ``self.rows[name][i]``,
+    the ids in ``self.rows[name]`` are distinct, and every row not listed has
+    a zero gradient.  Every other name holds a gradient of its parameter's
+    full shape.  Tensors with one row per word use the compact form, so a
+    sentence costs work in the rows it touched, not in the vocabulary size.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows: dict[str, np.ndarray] = {}
+
+    def __setitem__(self, name, value):
+        super().__setitem__(name, value)
+        self.rows.pop(name, None)
+
+    def set_rows(self, name: str, rows: np.ndarray, values: np.ndarray):
+        """Store a row-compact gradient; ``rows`` must be distinct."""
+        super().__setitem__(name, values)
+        self.rows[name] = rows
+
+    def update(self, other):
+        """Merge another gradient mapping, carrying its row ids along."""
+        super().update(other)
+        other_rows = getattr(other, "rows", {})
+        for name in other:
+            if name in other_rows:
+                self.rows[name] = other_rows[name]
+            else:
+                self.rows.pop(name, None)
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -2,7 +2,9 @@
 hierarchical decomposition, plus the class-assignment rules.
 
 Assignments keep every class contiguous in a stored word ordering so the
-word-in-class scores are a single matrix slice.
+word-in-class scores are a single matrix slice.  The class and hierarchical
+layers keep the word-factor gradients (``w_word``, ``b_word``) row-compact,
+one block per class or leaf a sentence hit (see ``numerics.Gradients``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .numerics import init_matrix, log_softmax
+from .numerics import Gradients, init_matrix, log_softmax
 
 Arrays = dict[str, np.ndarray]
 
@@ -295,6 +297,20 @@ class FullSoftmax:
             d_x = self.w_direct.T @ dy
         return self.w_out.T @ dy, d_x
 
+    def backprop_rows(self, rows, dy, state, x):
+        """(gradients, d_state, d_x) for dL/dy on the scores of ``rows``
+        alone (distinct word ids); the gradients are row-compact over
+        ``rows`` and the accumulated ones are left alone."""
+        g = Gradients()
+        g.set_rows("w_out", rows, np.outer(dy, state))
+        d_x = None
+        if self.w_direct is not None:
+            g.set_rows("w_direct", rows, np.outer(dy, x))
+            d_x = self.w_direct[rows].T @ dy
+        if self.b_out is not None:
+            g.set_rows("b_out", rows, dy)
+        return g, self.w_out[rows].T @ dy, d_x
+
     def logprob_grad(self, state, x, target):
         if not 0 <= target < self.k:
             raise ValueError(f"target {target} out of range for k={self.k}")
@@ -323,10 +339,32 @@ class _Grouped:
         raise NotImplementedError
 
     def zero_grads(self):
-        self._g = {name: np.zeros_like(a) for name, a in self.params().items()}
+        self._g = {name: np.zeros_like(a) for name, a in self.params().items()
+                   if name not in ("w_word", "b_word")}
+        self._blocks = {}   # group -> [word ids, w_word block, b_word block]
 
-    def grads(self) -> Arrays:
-        return self._g
+    def _add_word_block(self, group, rows, dy, state):
+        """Accumulate the word-factor gradient of one class or leaf."""
+        block = self._blocks.get(group)
+        if block is None:
+            self._blocks[group] = [rows, np.outer(dy, state), dy]
+        else:
+            block[1] += np.outer(dy, state)
+            block[2] += dy
+
+    def grads(self) -> Gradients:
+        """Dense gradients for the group factors; ``w_word`` and ``b_word``
+        row-compact over the words of every group hit since ``zero_grads``
+        (groups are disjoint, so the rows are distinct)."""
+        out = Gradients(self._g)
+        blocks = list(self._blocks.values())
+        rows = np.concatenate([np.zeros(0, np.int64)] + [b[0] for b in blocks])
+        out.set_rows("w_word", rows, np.concatenate(
+            [np.zeros((0, self.w_word.shape[1]))] + [b[1] for b in blocks]))
+        if self.b_word is not None:
+            out.set_rows("b_word", rows, np.concatenate(
+                [np.zeros(0)] + [b[2] for b in blocks]))
+        return out
 
     def _factor(self, weights, bias, rows, state, hit, accumulate):
         """log-softmax factor over `rows` of a weight matrix at position `hit`."""
@@ -410,11 +448,9 @@ class ClassSoftmax(_Grouped):
         lp_w, (dy_w, ds_w) = self._factor(self.w_word, self.b_word,
                                           rows, state, slot, True)
         self._g["w_class"] += np.outer(dy_c, state)
-        self._g["w_word"][rows] += np.outer(dy_w, state)
         if self.b_class is not None:
             self._g["b_class"] += dy_c
-        if self.b_word is not None:
-            self._g["b_word"][rows] += dy_w
+        self._add_word_block(c, rows, dy_w, state)
         return lp_c + lp_w, ds_c + ds_w, None
 
 
@@ -493,6 +529,7 @@ class HierarchicalSoftmax(_Grouped):
 
     def logprob_grad(self, state, x, target):
         path, rows, slot = self._path(target)
+        leaf = int(self.code.group_of[-1][target])
         total = 0.0
         d_state = np.zeros_like(state)
         for j, groups, hit in path:
@@ -507,7 +544,5 @@ class HierarchicalSoftmax(_Grouped):
             lp, (dy, ds) = self._factor(self.w_word, self.b_word, rows, state, slot, True)
             total += lp
             d_state += ds
-            self._g["w_word"][rows] += np.outer(dy, state)
-            if self.b_word is not None:
-                self._g["b_word"][rows] += dy
+            self._add_word_block(leaf, rows, dy, state)
         return total, d_state, None

@@ -13,7 +13,7 @@ import numpy as np
 from . import evaluation
 from .corpus import CorpusSplit, Vocabulary
 from .models import FnnCore, FnnTape, _fnn_hidden
-from .numerics import make_rng, softmax
+from .numerics import Gradients, make_rng, softmax
 from .output_layer import FullSoftmax
 
 Arrays = dict[str, np.ndarray]
@@ -65,20 +65,36 @@ TSV_HEADER = "epoch\ttrain_nll\tvalid_ppl\twords_per_s\tlr\tclip_events\n"
 
 
 def update_parameters(arrays: Arrays, grads: Arrays, alpha: float, beta: float):
-    """One SGD step descending the negative log-likelihood; weight decay
-    shrinks matrices by (1-beta), biases are left undecayed."""
+    """One SGD step descending the negative log-likelihood.
+
+    Weight decay shrinks every row of every matrix by (1-beta), touched by
+    the gradient or not, and leaves biases undecayed; a row-compact gradient
+    (see ``Gradients``) then moves only its own rows.
+    """
+    rows = getattr(grads, "rows", {})
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name!r}")
         theta = arrays[name]
-        if theta.ndim == 2:
+        if theta.ndim == 2 and beta != 0.0:
             theta *= 1.0 - beta
-        theta -= alpha * g
+        if name in rows:
+            theta[rows[name]] -= alpha * g
+        else:
+            theta -= alpha * g
 
 
 def clip_gradients(grads: Arrays, max_norm: float) -> bool:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """Scale all gradients so the global L2 norm is at most max_norm.
+
+    A non-finite gradient raises FloatingPointError naming its tensor before
+    anything is scaled.
+    """
+    squares = [float(np.sum(g * g)) for g in grads.values()]
+    for (name, g), sq in zip(grads.items(), squares):
+        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in {name!r}")
+    total = math.sqrt(sum(squares))
     if total <= max_norm or total == 0.0:
         return False
     scale = max_norm / total
@@ -241,22 +257,24 @@ class SamplingInfo:
 
 def importance_sampling_gradient(core: FnnCore, strategy: FullSoftmax, context,
                                  target: int, proposal: ProposalDistribution,
-                                 rng, config: TrainingConfig):
+                                 rng, config: TrainingConfig, hidden=None):
     """Estimated NLL gradient for one (context, target) example.
 
     The positive term is the exact target-score gradient; the negative term
     self-normalizes weights e^{-y}/Q over words drawn block by block from the
     proposal until the effective sample size reaches ``min_ess``.  Past
     ``max_samples`` draws the estimator gives up and backpropagates exactly.
-    Returns ``(gradients, SamplingInfo)``.
+    ``hidden`` is the context's ``(x, h)`` when the caller already has it.
+    Returns ``(gradients, SamplingInfo)``; the output-weight gradients are
+    row-compact over the sampled words and the target (every word after a
+    fallback).
     """
     if not isinstance(core, FnnCore):
         raise ValueError("importance sampling applies to the feed-forward model only")
     if not isinstance(strategy, FullSoftmax) or not strategy.energy:
         raise ValueError("importance sampling requires the energy-normalized softmax")
     context = np.asarray(context, dtype=np.int64)
-    x, h = _fnn_hidden(core.params, context)
-    k = strategy.k
+    x, h = _fnn_hidden(core.params, context) if hidden is None else hidden
 
     words_blocks, logu_blocks = [], []
     n, ess, exact = 0, 0.0, False
@@ -275,45 +293,55 @@ def importance_sampling_gradient(core: FnnCore, strategy: FullSoftmax, context,
             break
 
     if exact:
-        p = energy_normalize(strategy.scores(h, x))
-        dy = -p
+        rows = np.arange(strategy.k)
+        dy = -energy_normalize(strategy.scores(h, x))
+        dy[target] += 1.0
     else:
         if not np.all(np.isfinite(r)):
             raise FloatingPointError("non-finite importance weight")
-        dy = np.zeros(k)
-        np.subtract.at(dy, np.concatenate(words_blocks), r)
-    dy[target] += 1.0
+        rows, slot = np.unique(np.append(np.concatenate(words_blocks), target),
+                               return_inverse=True)
+        dy = np.zeros(len(rows))
+        np.subtract.at(dy, slot[:-1], r)
+        dy[slot[-1]] += 1.0
 
-    strategy.zero_grads()
-    d_h, d_x = strategy.backprop_dy(dy, h, x)
+    out_grads, d_h, d_x = strategy.backprop_rows(rows, dy, h, x)
     tape = FnnTape([context], [x], [h])
     grads = core.backward(tape, [d_h], [d_x])
-    grads.update({name: g.copy() for name, g in strategy.grads().items()})
+    grads.update(out_grads)
     return grads, SamplingInfo(n, ess, exact)
 
 
-def _importance_sentence(core, strategy, enc, proposal, rng, config):
-    """Per-position sampled gradients accumulated over one sentence."""
-    p = core.params
-    span = p.n - 1
-    inputs, targets = enc[:-1], enc[1:]
-    logps: list[float] = []
-    total: Arrays | None = None
-    for t, tgt in enumerate(targets):
-        lo = t + 1 - span
-        ctx = inputs[max(lo, 0): t + 1]
-        if lo < 0:
-            ctx = np.concatenate([np.full(-lo, inputs[0], dtype=np.int64), ctx])
-        grads, _ = importance_sampling_gradient(core, strategy, ctx, int(tgt),
-                                                proposal, rng, config)
-        x, h = _fnn_hidden(p, ctx)
-        logps.append(strategy.logprob(h, x, int(tgt)))
-        if total is None:
-            total = grads
+def _sum_gradients(parts: list[Gradients]) -> Gradients:
+    """Sum of gradient dicts; a tensor row-compact in the parts stays so,
+    over the union of their rows."""
+    total = Gradients()
+    for name, first in parts[0].items():
+        if name in parts[0].rows:
+            rows, slot = np.unique(np.concatenate([p.rows[name] for p in parts]),
+                                   return_inverse=True)
+            values = np.zeros((len(rows),) + first.shape[1:])
+            np.add.at(values, slot, np.concatenate([p[name] for p in parts]))
+            total.set_rows(name, rows, values)
         else:
-            for name, g in grads.items():
-                total[name] += g
-    return logps, total
+            total[name] = sum(p[name] for p in parts)
+    return total
+
+
+def _importance_sentence(core, strategy, enc, proposal, rng, config):
+    """Per-position sampled gradients summed over one sentence."""
+    inputs, targets = enc[:-1], enc[1:]
+    tape = core.run(inputs)
+    logps: list[float] = []
+    parts: list[Gradients] = []
+    for t, tgt in enumerate(targets):
+        x, h = tape.xs[t], tape.states[t]
+        grads, _ = importance_sampling_gradient(core, strategy, tape.contexts[t],
+                                                int(tgt), proposal, rng, config,
+                                                hidden=(x, h))
+        parts.append(grads)
+        logps.append(strategy.logprob(h, x, int(tgt)))
+    return logps, _sum_gradients(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Shared test utilities: small model factories and finite-difference checks."""
+"""Shared test utilities: small model factories, finite-difference checks,
+and the dense reference for the row-compact training step."""
+
+import math
 
 import numpy as np
 
@@ -7,7 +10,7 @@ from nnlm.models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
 from nnlm.numerics import make_rng
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalSoftmax,
                                assign_uniform_random, hierarchy_uniform_random)
-from nnlm.training import sentence_gradients
+from nnlm.training import _importance_sentence, sentence_gradients
 
 K, M, NH = 12, 5, 7
 
@@ -44,6 +47,46 @@ def merged_arrays(core, strategy):
     out = dict(core.params.core_arrays())
     out.update(strategy.params())
     return out
+
+
+def dense(grads, arrays):
+    """Full-shape copies of ``grads``, row-compact tensors expanded with zero
+    rows (``arrays`` gives the shapes)."""
+    rows = getattr(grads, "rows", {})
+    out = {}
+    for name, g in grads.items():
+        if name in rows:
+            out[name] = np.zeros_like(arrays[name])
+            out[name][rows[name]] = g
+        else:
+            out[name] = np.array(g, copy=True)
+    return out
+
+
+def dense_reference_epoch(core, strategy, sentences, vocab, config, rng,
+                          alpha, proposal=None):
+    """The sentence loop of ``train_epoch`` with a dense clip and update:
+    every gradient expanded to its parameter's shape, every matrix decayed
+    and every row updated.  It draws from ``rng`` in the same order, so it
+    follows the same trajectory."""
+    arrays = merged_arrays(core, strategy)
+    for idx in rng.permutation(len(sentences)):
+        enc = vocab.encode(sentences[idx])
+        if config.mode == "importance":
+            _, grads = _importance_sentence(core, strategy, enc, proposal, rng,
+                                            config)
+        else:
+            _, grads = sentence_gradients(core, strategy, enc)
+        g = dense(grads, arrays)
+        total = math.sqrt(sum(float(np.sum(v * v)) for v in g.values()))
+        if total > config.clip:
+            for v in g.values():
+                v *= config.clip / total
+        for name, v in g.items():
+            theta = arrays[name]
+            if theta.ndim == 2:
+                theta *= 1.0 - config.beta
+            theta -= alpha * v
 
 
 def sentence_nll(core, strategy, enc):
@@ -85,8 +128,9 @@ def check_model_gradients(arch, strategy_kind="full", seed=0, **toggles):
     core, strategy = make_model(arch, strategy_kind, seed=seed, **toggles)
     rng = make_rng(seed + 100)
     enc = rng.integers(0, K, size=5)      # four scored positions
-    _, analytic = sentence_gradients(core, strategy, enc)
+    _, grads = sentence_gradients(core, strategy, enc)
     arrays = merged_arrays(core, strategy)
+    analytic = dense(grads, arrays)
     numeric = numeric_grads(arrays, lambda: sentence_nll(core, strategy, enc))
     assert_grads_close(analytic, numeric)
 

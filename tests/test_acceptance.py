@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import GRADIENT_CONFIGS, check_model_gradients, merged_arrays
+from helpers import (GRADIENT_CONFIGS, check_model_gradients, dense,
+                     merged_arrays)
 from nnlm.caching import CacheConfig, WordCache, cache_distribution
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
@@ -154,6 +155,8 @@ def test_criterion_04_importance_sampling():
     exact, info = importance_sampling_gradient(core, strategy, ctx, target,
                                                proposal, make_rng(0), exact_cfg)
     assert info.exact
+    arrays = merged_arrays(core, strategy)
+    exact = dense(exact, arrays)
     den = sum(float(np.sum(g * g)) for g in exact.values())
 
     def median_err(n, trials=20):
@@ -163,6 +166,7 @@ def test_criterion_04_importance_sampling():
             g, si = importance_sampling_gradient(core, strategy, ctx, target,
                                                  proposal, make_rng(500 + t), cfg)
             assert si.n_samples == n
+            g = dense(g, arrays)
             num = sum(float(np.sum((g[x] - exact[x]) ** 2)) for x in exact)
             errs.append(math.sqrt(num / den))
         return float(np.median(errs))

@@ -217,6 +217,18 @@ class TestExitCodes:
     def test_missing_artifact_exits_1(self, corpus, tmp_path, capsys):
         assert run_cli("eval", tmp_path / "missing.nnlm", corpus) == 1
 
+    def test_non_finite_gradient_exits_1(self, corpus, tmp_path, capsys):
+        # a learning rate this large overflows the weights after the first
+        # update, so a later sentence's gradient is NaN
+        cfg = small_config(corpus, alpha=1e300)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: non-finite gradient in ")
+
     def test_unknown_table_exits_2(self, tmp_path, capsys):
         assert run_cli("reproduce", "99", "--corpus-root", tmp_path,
                        "--outdir", tmp_path / "rep") == 2

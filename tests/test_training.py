@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_model, merged_arrays
+from helpers import dense, dense_reference_epoch, make_model, merged_arrays
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
 from nnlm.models import FnnCore, FnnParameters, RnnCore, RnnParameters
@@ -42,6 +42,27 @@ class TestUpdate:
             update_parameters({"w": np.ones((1, 1))},
                               {"w": np.array([[np.nan]])}, 0.1, 0.0)
 
+    @pytest.mark.parametrize("beta", [1e-3, 0.0])
+    def test_untouched_rows_only_decay(self, beta):
+        """Rows a sentence never touched shrink by exactly (1-beta), which
+        at beta=0 leaves them bit-identical; touched rows take the step."""
+        k = 40
+        core, strategy = make_model("rnn", "class", seed=3, k=k, bias=True)
+        _, grads = sentence_gradients(core, strategy, np.array([0, 5, 9, 5, 1]))
+        arrays = merged_arrays(core, strategy)
+        before = {n: a.copy() for n, a in arrays.items()}
+        update_parameters(arrays, grads, 0.1, beta)
+        for name in ("emb", "w_word", "b_word"):
+            touched = grads.rows[name]
+            untouched = np.setdiff1d(np.arange(k), touched)
+            assert len(touched) and len(untouched)
+            decay = 1.0 - beta if arrays[name].ndim == 2 else 1.0
+            np.testing.assert_array_equal(arrays[name][untouched],
+                                          before[name][untouched] * decay)
+            np.testing.assert_array_equal(
+                arrays[name][touched],
+                before[name][touched] * decay - 0.1 * grads[name])
+
 
 class TestClip:
     def test_small_gradients_untouched(self):
@@ -60,6 +81,12 @@ class TestClip:
     def test_zero_gradient_is_a_no_op(self):
         g = {"a": np.zeros(3)}
         assert clip_gradients(g, 1.0) is False
+
+    def test_non_finite_tensor_named_before_scaling(self):
+        g = {"a": np.array([3.0, 4.0]), "b": np.array([[1.0, np.nan]])}
+        with pytest.raises(FloatingPointError, match="'b'"):
+            clip_gradients(g, 1.0)
+        np.testing.assert_array_equal(g["a"], [3.0, 4.0])
 
 
 class TestEffectiveSampleSize:
@@ -142,6 +169,8 @@ class TestImportanceSampling:
         sampled, info_s = importance_sampling_gradient(
             core, strategy, ctx, 4, _Exhaustive(k), make_rng(0), sampled_cfg)
         assert not info_s.exact and info_s.n_samples == k
+        arrays = merged_arrays(core, strategy)
+        exact, sampled = dense(exact, arrays), dense(sampled, arrays)
         assert set(exact) == set(sampled)
         for name in exact:
             np.testing.assert_allclose(sampled[name], exact[name], atol=1e-10)
@@ -155,6 +184,8 @@ class TestImportanceSampling:
         exact_cfg = TrainingConfig(block_size=5, min_ess=1e9, max_samples=1)
         exact, _ = importance_sampling_gradient(core, strategy, ctx, target,
                                                 proposal, make_rng(0), exact_cfg)
+        arrays = merged_arrays(core, strategy)
+        exact = dense(exact, arrays)
 
         def median_error(n, trials=30):
             cfg = TrainingConfig(block_size=n, min_ess=1.0, max_samples=10 * n)
@@ -163,6 +194,7 @@ class TestImportanceSampling:
                 g, info = importance_sampling_gradient(
                     core, strategy, ctx, target, proposal, make_rng(1000 + t), cfg)
                 assert info.n_samples == n
+                g = dense(g, arrays)
                 num = sum(float(np.sum((g[x] - exact[x]) ** 2)) for x in exact)
                 den = sum(float(np.sum(exact[x] ** 2)) for x in exact)
                 errs.append(np.sqrt(num / den))
@@ -261,6 +293,48 @@ class TestTrainEpoch:
                              patience=5, seed=5)
         reports = train(core, strategy, split, vocab, cfg)
         assert min(r.valid_ppl for r in reports) < 3.0
+
+
+TRAJECTORIES = ([(arch, kind) for arch in ("fnn", "rnn", "lstm")
+                 for kind in ("full", "class", "hier")]
+                + [("fnn", "importance")])
+
+
+@pytest.mark.parametrize("arch,kind", TRAJECTORIES,
+                         ids=[f"{a}-{k}" for a, k in TRAJECTORIES])
+def test_epoch_matches_dense_reference(arch, kind):
+    """One epoch of row-compact clip and update lands where the dense
+    reference (every row decayed, clipped and updated) lands."""
+    sents = [["green", "eggs", "and", "ham"], ["one", "fish", "two", "fish"],
+             ["red", "fish", "and", "blue", "fish"], ["sam", "i", "am"]]
+    # words no training sentence uses leave rows the epoch never touches
+    vocab = build_vocabulary(sents + [[f"spare{i}" for i in range(20)]])
+    importance = kind == "importance"
+    # with these sampler settings 8 of the 20 positions reach the sample
+    # budget and fall back to the exact gradient, so both paths run
+    cfg = TrainingConfig(alpha=0.3, beta=1e-3, clip=1.0,
+                         mode="importance" if importance else "exact",
+                         block_size=4, min_ess=7.5, max_samples=8)
+    proposal = ProposalDistribution.unigram(vocab) if importance else None
+
+    def build():
+        return make_model(arch, "full" if importance else kind, seed=5,
+                          k=vocab.size, bias=True,
+                          direct=kind in ("full", "importance"),
+                          energy=importance)
+
+    core, strategy = build()
+    train_epoch(core, strategy, sents, sents[:1], vocab, cfg, make_rng(4),
+                cfg.alpha, 1, proposal)
+    ref_core, ref_strategy = build()
+    dense_reference_epoch(ref_core, ref_strategy, sents, vocab, cfg,
+                          make_rng(4), cfg.alpha, proposal)
+    start = merged_arrays(*build())
+    got = merged_arrays(core, strategy)
+    for name, want in merged_arrays(ref_core, ref_strategy).items():
+        assert not np.array_equal(want, start[name]), name
+        err = float(np.abs(got[name] - want).max())
+        assert err <= 1e-10 * float(np.abs(want).max()), (name, err)
 
 
 class TestSchedule:
