@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, training
 from .artifact import ArtifactError, build_model, load_artifact, save_artifact
 from .caching import CacheConfig
@@ -316,7 +318,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow is reported once, as the tensor clip_gradients names, not
+        # as numpy warnings from inside the model.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -327,35 +327,22 @@ def rnn_step(params: RnnParameters, word: int, prev: HiddenState):
 # LSTM core
 # ---------------------------------------------------------------------------
 
-_GATES = ("i", "f", "o", "g")
-
-
 @dataclass
 class LstmParameters:
-    """Gated core with optional peephole connections from the cell.
+    """Gated core with its four gates stacked in the order (i, f, g, o).
 
-    The peephole toggle controls all four cell taps: the input/forget gates
-    and the candidate read the previous cell, the output gate reads the
+    Row block j of ``w_x``, ``w_h`` and ``b`` feeds gate j: input, forget,
+    candidate, output.  With peepholes, ``w_peep`` stacks the i, f and g taps
+    on the previous cell and ``w_co`` is the output gate's tap on the
     current cell.
     """
 
-    emb: np.ndarray
-    w_in_i: np.ndarray
-    w_in_f: np.ndarray
-    w_in_o: np.ndarray
-    w_in_g: np.ndarray
-    w_rec_i: np.ndarray
-    w_rec_f: np.ndarray
-    w_rec_o: np.ndarray
-    w_rec_g: np.ndarray
-    w_peep_i: np.ndarray | None = None
-    w_peep_f: np.ndarray | None = None
-    w_peep_o: np.ndarray | None = None
-    w_peep_g: np.ndarray | None = None
-    b_i: np.ndarray | None = None
-    b_f: np.ndarray | None = None
-    b_o: np.ndarray | None = None
-    b_g: np.ndarray | None = None
+    emb: np.ndarray                     # k x m
+    w_x: np.ndarray                     # 4n_h x m
+    w_h: np.ndarray                     # 4n_h x n_h
+    w_peep: np.ndarray | None = None    # 3n_h x n_h, reads c_prev
+    w_co: np.ndarray | None = None      # n_h x n_h, reads c
+    b: np.ndarray | None = None         # 4n_h
     w_out: np.ndarray | None = None
     w_direct: np.ndarray | None = None
     b_out: np.ndarray | None = None
@@ -363,16 +350,24 @@ class LstmParameters:
     @classmethod
     def create(cls, k, m, n_h, rng, direct=False, bias=False, peepholes=True,
                output=True):
-        kw = {"emb": init_matrix(k, m, rng)}
-        for gate in _GATES:
-            kw[f"w_in_{gate}"] = init_matrix(n_h, m, rng)
-            kw[f"w_rec_{gate}"] = init_matrix(n_h, n_h, rng)
+        emb = init_matrix(k, m, rng)
+        w_x, w_h = np.empty((4 * n_h, m)), np.empty((4 * n_h, n_h))
+        peep = np.empty((4 * n_h, n_h)) if peepholes else None
+        # Drawn gate by gate in the order i, f, o, g, each gate's input,
+        # recurrent and peephole matrix in turn, so a seed gives the same
+        # numbers as a model stored one matrix per gate.
+        for j in (0, 1, 3, 2):
+            rows = slice(j * n_h, (j + 1) * n_h)
+            w_x[rows] = init_matrix(n_h, m, rng)
+            w_h[rows] = init_matrix(n_h, n_h, rng)
             if peepholes:
-                kw[f"w_peep_{gate}"] = init_matrix(n_h, n_h, rng)
-            if bias:
-                kw[f"b_{gate}"] = np.zeros(n_h)
+                peep[rows] = init_matrix(n_h, n_h, rng)
         w_out, w_direct, b_out = _maybe_output(k, n_h, m, rng, direct, bias, output)
-        return cls(w_out=w_out, w_direct=w_direct, b_out=b_out, **kw)
+        return cls(emb=emb, w_x=w_x, w_h=w_h,
+                   w_peep=peep[:3 * n_h] if peepholes else None,
+                   w_co=peep[3 * n_h:] if peepholes else None,
+                   b=np.zeros(4 * n_h) if bias else None,
+                   w_out=w_out, w_direct=w_direct, b_out=b_out)
 
     @property
     def k(self):
@@ -380,15 +375,14 @@ class LstmParameters:
 
     @property
     def n_h(self):
-        return self.w_rec_i.shape[0]
+        return self.w_h.shape[1]
 
     def core_arrays(self) -> Arrays:
-        out = {"emb": self.emb}
-        for gate in _GATES:
-            for prefix in ("w_in_", "w_rec_", "w_peep_", "b_"):
-                a = getattr(self, f"{prefix}{gate}")
-                if a is not None:
-                    out[f"{prefix}{gate}"] = a
+        out = {"emb": self.emb, "w_x": self.w_x, "w_h": self.w_h}
+        for name in ("w_peep", "w_co", "b"):
+            a = getattr(self, name)
+            if a is not None:
+                out[name] = a
         return out
 
     def arrays(self) -> Arrays:
@@ -402,42 +396,26 @@ class LstmParameters:
 
 @dataclass
 class LstmTape:
+    """Row t of ``xs`` and ``gates`` belongs to input t; row t + 1 of ``s``
+    and ``c`` is the state after input t and row 0 the initial state."""
+
     words: np.ndarray
-    xs: list[np.ndarray]
-    gates_i: list[np.ndarray]
-    gates_f: list[np.ndarray]
-    gates_o: list[np.ndarray]
-    cands: list[np.ndarray]
-    cells: list[np.ndarray]
-    states: list[np.ndarray]
-    s0: np.ndarray
-    c0: np.ndarray
+    xs: np.ndarray      # T x m
+    gates: np.ndarray   # T x 4n_h gate activations (i, f, g, o)
+    s: np.ndarray       # (T + 1) x n_h
+    c: np.ndarray       # (T + 1) x n_h
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.s[1:]
+
+    @property
+    def cells(self) -> np.ndarray:
+        return self.c[1:]
 
     @property
     def final_state(self) -> HiddenState:
-        if not self.states:
-            return HiddenState(self.s0.copy(), self.c0.copy())
-        return HiddenState(self.states[-1].copy(), self.cells[-1].copy())
-
-
-def _lstm_step(p: LstmParameters, x, s_prev, c_prev):
-    def pre(gate, cell_tap):
-        a = getattr(p, f"w_in_{gate}") @ x + getattr(p, f"w_rec_{gate}") @ s_prev
-        peep = getattr(p, f"w_peep_{gate}")
-        if peep is not None and cell_tap is not None:
-            a = a + peep @ cell_tap
-        b = getattr(p, f"b_{gate}")
-        if b is not None:
-            a = a + b
-        return a
-
-    i = sigmoid(pre("i", c_prev))
-    f = sigmoid(pre("f", c_prev))
-    g = np.tanh(pre("g", c_prev))
-    c = f * c_prev + i * g
-    o = sigmoid(pre("o", c))
-    s = o * np.tanh(c)
-    return i, f, o, g, c, s
+        return HiddenState(self.s[-1].copy(), self.c[-1].copy())
 
 
 class LstmCore:
@@ -448,93 +426,85 @@ class LstmCore:
         p = self.params
         inputs = np.asarray(inputs, dtype=np.int64)
         _check_indices(inputs, p.k)
-        n_h = p.n_h
-        if h0 is None:
-            s, c = np.zeros(n_h), np.zeros(n_h)
-        else:
-            s = np.asarray(h0.s, dtype=np.float64)
-            c = np.zeros(n_h) if h0.c is None else np.asarray(h0.c, dtype=np.float64)
-        if s.shape != (n_h,) or c.shape != (n_h,):
-            raise ValueError(f"initial state shapes {s.shape}/{c.shape}, expected ({n_h},)")
-        tape = LstmTape(inputs, [], [], [], [], [], [], [], s.copy(), c.copy())
-        for w in inputs:
-            x = p.emb[w]
-            i, f, o, g, c, s = _lstm_step(p, x, s, c)
-            tape.xs.append(x)
-            tape.gates_i.append(i)
-            tape.gates_f.append(f)
-            tape.gates_o.append(o)
-            tape.cands.append(g)
-            tape.cells.append(c)
-            tape.states.append(s)
-        return tape
+        n_h, T = p.n_h, len(inputs)
+        S, C = np.zeros((T + 1, n_h)), np.zeros((T + 1, n_h))
+        if h0 is not None:
+            s0 = np.asarray(h0.s, dtype=np.float64)
+            c0 = np.zeros(n_h) if h0.c is None else np.asarray(h0.c, dtype=np.float64)
+            if s0.shape != (n_h,) or c0.shape != (n_h,):
+                raise ValueError(
+                    f"initial state shapes {s0.shape}/{c0.shape}, expected ({n_h},)")
+            S[0], C[0] = s0, c0
+        X = p.emb[inputs]
+        A = X @ p.w_x.T
+        if p.b is not None:
+            A += p.b
+        G = np.empty((T, 4 * n_h))
+        ifg = 3 * n_h
+        for t in range(T):
+            a = A[t] + p.w_h @ S[t]
+            if p.w_peep is not None:
+                a[:ifg] += p.w_peep @ C[t]
+            G[t, :2 * n_h] = sigmoid(a[:2 * n_h])
+            G[t, 2 * n_h:ifg] = np.tanh(a[2 * n_h:ifg])
+            i, f, g = G[t, :n_h], G[t, n_h:2 * n_h], G[t, 2 * n_h:ifg]
+            C[t + 1] = f * C[t] + i * g
+            a_o = a[ifg:]
+            if p.w_co is not None:
+                a_o = a_o + p.w_co @ C[t + 1]
+            G[t, ifg:] = sigmoid(a_o)
+            S[t + 1] = G[t, ifg:] * np.tanh(C[t + 1])
+        return LstmTape(inputs, X, G, S, C)
 
     def backward(self, tape: LstmTape, d_states, d_inputs=None) -> Gradients:
+        """Gate deltas in one reverse pass over the recurrent carries, then
+        every weight gradient as one product over the whole sentence."""
         p = self.params
-        if len(d_states) != len(tape.states):
-            raise ValueError(
-                f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
-            )
-        gr = _zero_grads(p)
-        rows, slot = np.unique(tape.words, return_inverse=True)
-        d_emb = np.zeros((len(rows), p.emb.shape[1]))
-        n_h = p.n_h
+        T = len(tape.states)
+        if len(d_states) != T:
+            raise ValueError(f"tape has {T} steps but got {len(d_states)} gradients")
+        n_h, ifg = p.n_h, 3 * p.n_h
+        G, C_prev = tape.gates, tape.c[:-1]
+        I, F, Gc, O = (G[:, j * n_h:(j + 1) * n_h] for j in range(4))
+        TC = np.tanh(tape.cells)
+        # Per-step factors that do not depend on the carries: ds/da_o,
+        # ds/dc through tanh(c), and dc/da for the gates i, f, g.
+        k_o = TC * sigmoid_deriv(O)
+        k_c = O * tanh_deriv(TC)
+        k_ifg = np.concatenate([Gc * sigmoid_deriv(I), C_prev * sigmoid_deriv(F),
+                                I * tanh_deriv(Gc)], axis=1).reshape(T, 3, n_h)
+        dA_blocks = np.empty((T, 4, n_h))
+        dA = dA_blocks.reshape(T, 4 * n_h)
         ds_carry = np.zeros(n_h)
         dc_carry = np.zeros(n_h)
-        for t in range(len(d_states) - 1, -1, -1):
-            x = tape.xs[t]
-            i, f, o = tape.gates_i[t], tape.gates_f[t], tape.gates_o[t]
-            g, c = tape.cands[t], tape.cells[t]
-            s_prev = tape.states[t - 1] if t > 0 else tape.s0
-            c_prev = tape.cells[t - 1] if t > 0 else tape.c0
-            tc = np.tanh(c)
-
+        for t in range(T - 1, -1, -1):
             ds = d_states[t] + ds_carry
-            do = ds * tc
-            da_o = do * sigmoid_deriv(o)
-            dc = ds * o * tanh_deriv(tc) + dc_carry
-            if p.w_peep_o is not None:
-                dc = dc + p.w_peep_o.T @ da_o
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da = {
-                "i": di * sigmoid_deriv(i),
-                "f": df * sigmoid_deriv(f),
-                "o": da_o,
-                "g": dg * tanh_deriv(g),
-            }
+            np.multiply(ds, k_o[t], out=dA_blocks[t, 3])
+            dc = ds * k_c[t] + dc_carry
+            if p.w_co is not None:
+                dc += p.w_co.T @ dA_blocks[t, 3]
+            np.multiply(k_ifg[t], dc, out=dA_blocks[t, :3])
+            dc_carry = dc * F[t]
+            if p.w_peep is not None:
+                dc_carry += p.w_peep.T @ dA[t, :ifg]
+            ds_carry = p.w_h.T @ dA[t]
 
-            dx = np.zeros_like(x)
-            ds_carry = np.zeros(n_h)
-            dc_carry = dc * f
-            for gate in _GATES:
-                d = da[gate]
-                gr[f"w_in_{gate}"] += np.outer(d, x)
-                gr[f"w_rec_{gate}"] += np.outer(d, s_prev)
-                peep = getattr(p, f"w_peep_{gate}")
-                if peep is not None:
-                    tap = c if gate == "o" else c_prev
-                    gr[f"w_peep_{gate}"] += np.outer(d, tap)
-                    if gate in ("i", "f", "g"):
-                        dc_carry = dc_carry + peep.T @ d
-                if getattr(p, f"b_{gate}") is not None:
-                    gr[f"b_{gate}"] += d
-                dx += getattr(p, f"w_in_{gate}").T @ d
-                ds_carry = ds_carry + getattr(p, f"w_rec_{gate}").T @ d
-            if d_inputs is not None and d_inputs[t] is not None:
-                dx = dx + d_inputs[t]
-            d_emb[slot[t]] += dx
+        gr = Gradients({"w_x": dA.T @ tape.xs, "w_h": dA.T @ tape.s[:-1]})
+        if p.w_peep is not None:
+            gr["w_peep"] = dA[:, :ifg].T @ C_prev
+            gr["w_co"] = dA[:, ifg:].T @ tape.cells
+        if p.b is not None:
+            gr["b"] = dA.sum(axis=0)
+        dX = dA @ p.w_x
+        if d_inputs is not None:
+            for t, d in enumerate(d_inputs):
+                if d is not None:
+                    dX[t] += d
+        rows, slot = np.unique(tape.words, return_inverse=True)
+        d_emb = np.zeros((len(rows), p.emb.shape[1]))
+        np.add.at(d_emb, slot[::-1], dX[::-1])
         gr.set_rows("emb", rows, d_emb)
         return gr
-
-
-def lstm_step(params: LstmParameters, word: int, prev: HiddenState):
-    """(score vector, new state) for one word given the previous state."""
-    core = LstmCore(params)
-    tape = core.run([word], h0=prev)
-    s = tape.states[0]
-    return _score(params, s, tape.xs[0]), tape.final_state
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +517,6 @@ def make_core(params):
     if isinstance(params, LstmParameters):
         return LstmCore(params)
     raise TypeError(f"unknown parameter type {type(params).__name__}")
-
-
-def sequence_backward(core, tape, d_states, d_inputs=None) -> Arrays:
-    """Exact full-sequence gradients of the recorded forward pass."""
-    return core.backward(tape, d_states, d_inputs)
 
 
 def birnn_encode(forward_params, backward_params, sentence) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared test utilities: small model factories, finite-difference checks,
-and the dense reference for the row-compact training step."""
+the dense reference for the row-compact training step, and the per-gate
+reference for the stacked LSTM core."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 
 from nnlm.models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
                          RnnCore, RnnParameters)
-from nnlm.numerics import make_rng
+from nnlm.numerics import (Gradients, make_rng, sigmoid, sigmoid_deriv,
+                           tanh_deriv)
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalSoftmax,
                                assign_uniform_random, hierarchy_uniform_random)
 from nnlm.training import _importance_sentence, sentence_gradients
@@ -146,3 +148,100 @@ GRADIENT_CONFIGS = (
        for kind in ("class", "hier")]
     + [("rnn", "class", dict(bias=True))]
 )
+
+
+LSTM_GATES = ("i", "f", "g", "o")    # the stacking order of LstmParameters
+
+
+def lstm_gate_matrices(p):
+    """The stacked LSTM parameters cut into one matrix per gate, named
+    ``w_in_<gate>``, ``w_rec_<gate>``, ``w_peep_<gate>`` and ``b_<gate>``;
+    the output gate's peephole is ``w_co``."""
+    n_h = p.n_h
+    out = {}
+    for j, gate in enumerate(LSTM_GATES):
+        rows = slice(j * n_h, (j + 1) * n_h)
+        out[f"w_in_{gate}"] = p.w_x[rows]
+        out[f"w_rec_{gate}"] = p.w_h[rows]
+        if p.w_peep is not None:
+            out[f"w_peep_{gate}"] = p.w_co if gate == "o" else p.w_peep[rows]
+        out[f"b_{gate}"] = None if p.b is None else p.b[rows]
+    return out
+
+
+def lstm_reference(p, inputs, h0, d_states, d_inputs=None):
+    """Per-gate LSTM forward and backward, written out one step and one gate
+    at a time.  Returns (states, cells, grads), the gradients under the
+    stacked names and ``emb`` row-compact, for comparison with ``LstmCore``."""
+    w = lstm_gate_matrices(p)
+    s, c = h0.s.copy(), h0.c.copy()
+    steps = []
+    for word in inputs:
+        x = p.emb[word]
+
+        def pre(gate, tap):
+            a = w[f"w_in_{gate}"] @ x + w[f"w_rec_{gate}"] @ s
+            if p.w_peep is not None:
+                a = a + w[f"w_peep_{gate}"] @ tap
+            if p.b is not None:
+                a = a + w[f"b_{gate}"]
+            return a
+
+        i = sigmoid(pre("i", c))
+        f = sigmoid(pre("f", c))
+        g = np.tanh(pre("g", c))
+        c_new = f * c + i * g
+        o = sigmoid(pre("o", c_new))
+        s_new = o * np.tanh(c_new)
+        steps.append(dict(x=x, s_prev=s, c_prev=c, i=i, f=f, g=g, o=o,
+                          c=c_new, s=s_new))
+        s, c = s_new, c_new
+
+    gw = {name: np.zeros_like(a) for name, a in w.items() if a is not None}
+    rows, slot = np.unique(np.asarray(inputs, dtype=np.int64), return_inverse=True)
+    d_emb = np.zeros((len(rows), p.emb.shape[1]))
+    ds_carry = np.zeros(p.n_h)
+    dc_carry = np.zeros(p.n_h)
+    for t in range(len(steps) - 1, -1, -1):
+        st = steps[t]
+        i, f, g, o, c, c_prev = (st[k] for k in ("i", "f", "g", "o", "c", "c_prev"))
+        tc = np.tanh(c)
+        ds = d_states[t] + ds_carry
+        da = {"o": ds * tc * sigmoid_deriv(o)}
+        dc = ds * o * tanh_deriv(tc) + dc_carry
+        if p.w_peep is not None:
+            dc = dc + w["w_peep_o"].T @ da["o"]
+        da["i"] = dc * g * sigmoid_deriv(i)
+        da["f"] = dc * c_prev * sigmoid_deriv(f)
+        da["g"] = dc * i * tanh_deriv(g)
+        dx = np.zeros_like(st["x"])
+        ds_carry = np.zeros(p.n_h)
+        dc_carry = dc * f
+        for gate in ("i", "f", "o", "g"):    # the per-gate code's order
+            d = da[gate]
+            gw[f"w_in_{gate}"] += np.outer(d, st["x"])
+            gw[f"w_rec_{gate}"] += np.outer(d, st["s_prev"])
+            if p.w_peep is not None:
+                tap = c if gate == "o" else c_prev
+                gw[f"w_peep_{gate}"] += np.outer(d, tap)
+                if gate != "o":
+                    dc_carry = dc_carry + w[f"w_peep_{gate}"].T @ d
+            if p.b is not None:
+                gw[f"b_{gate}"] += d
+            dx += w[f"w_in_{gate}"].T @ d
+            ds_carry = ds_carry + w[f"w_rec_{gate}"].T @ d
+        if d_inputs is not None and d_inputs[t] is not None:
+            dx = dx + d_inputs[t]
+        d_emb[slot[t]] += dx
+
+    def stack(prefix, gates=LSTM_GATES):
+        return np.concatenate([gw[f"{prefix}{gate}"] for gate in gates])
+
+    grads = Gradients({"w_x": stack("w_in_"), "w_h": stack("w_rec_")})
+    if p.w_peep is not None:
+        grads["w_peep"] = stack("w_peep_", LSTM_GATES[:3])
+        grads["w_co"] = gw["w_peep_o"]
+    if p.b is not None:
+        grads["b"] = stack("b_")
+    grads.set_rows("emb", rows, d_emb)
+    return [st["s"] for st in steps], [st["c"] for st in steps], grads

@@ -1,6 +1,10 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from helpers import lstm_gate_matrices
 from nnlm.artifact import (ArtifactError, build_model, load_artifact,
                            save_artifact, vocab_sha256)
 from nnlm.cli import main
@@ -144,6 +148,51 @@ class TestArtifact:
         assert vocab_sha256(a) != vocab_sha256(b)
 
 
+def save_per_gate_lstm(path, corpus):
+    """An LSTM artifact under the tensor names of the per-gate layout
+    (``w_in_i``, ``w_rec_i``, ``w_peep_i``, ``b_i``, ...), which stored one
+    matrix per gate."""
+    cfg = small_config(corpus, arch="lstm", bias=True)
+    vocab = build_vocabulary([["a", "b", "c"], ["b", "c", "d"]])
+    core, strategy, partition = build_model(cfg, vocab)
+    arrays = {"emb": core.params.emb, **lstm_gate_matrices(core.params)}
+    per_gate = SimpleNamespace(params=SimpleNamespace(arrays=lambda: arrays))
+    save_artifact(path, cfg, vocab, per_gate, strategy, partition)
+
+
+# sha256 of artifacts from build_model at seed 7 with m=3, n_h=4 on the
+# vocabulary of [["a", "b", "c"], ["b", "c", "d", "e"]]: the bytes that
+# FNN and RNN models have always been saved as.
+PINNED_ARTIFACTS = {
+    "fnn-full": (dict(arch="fnn", strategy="full", direct=True, bias=True),
+                 "355b90c425a1f47b8f0ecc2b9c236a71bfa8062c2ba985e0d369e59411d222b7"),
+    "rnn-class": (dict(arch="rnn", strategy="class", bias=True),
+                  "ce5cd093a3b7e0714f254318a636556d7a87f7d077ec033833540a5322cceaa8"),
+}
+
+
+class TestArtifactLayout:
+    @pytest.mark.parametrize("case", sorted(PINNED_ARTIFACTS))
+    def test_fnn_and_rnn_bytes_unchanged(self, case, tmp_path):
+        settings, sha = PINNED_ARTIFACTS[case]
+        cfg = RunConfig()
+        cfg.m, cfg.n_h, cfg.seed = 3, 4, 7
+        for key, value in settings.items():
+            setattr(cfg, key, value)
+        cfg.validate()
+        vocab = build_vocabulary([["a", "b", "c"], ["b", "c", "d", "e"]])
+        core, strategy, partition = build_model(cfg, vocab)
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, core, strategy, partition)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+    def test_per_gate_lstm_artifact_rejected(self, corpus, tmp_path):
+        path = tmp_path / "old.nnlm"
+        save_per_gate_lstm(path, corpus)
+        with pytest.raises(ArtifactError, match="lacks tensor 'w_x'"):
+            load_artifact(path)
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -217,7 +266,8 @@ class TestExitCodes:
     def test_missing_artifact_exits_1(self, corpus, tmp_path, capsys):
         assert run_cli("eval", tmp_path / "missing.nnlm", corpus) == 1
 
-    def test_non_finite_gradient_exits_1(self, corpus, tmp_path, capsys):
+    def test_non_finite_gradient_exits_1(self, corpus, tmp_path, capsys,
+                                         recwarn):
         # a learning rate this large overflows the weights after the first
         # update, so a later sentence's gradient is NaN
         cfg = small_config(corpus, alpha=1e300)
@@ -228,6 +278,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: non-finite gradient in ")
+        # a real process prints numpy's warnings to stderr too
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_per_gate_lstm_artifact_exits_1(self, corpus, tmp_path, capsys):
+        path = tmp_path / "old.nnlm"
+        save_per_gate_lstm(path, corpus)
+        assert run_cli("eval", path, corpus) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: artifact lacks tensor 'w_x'")
 
     def test_unknown_table_exits_2(self, tmp_path, capsys):
         assert run_cli("reproduce", "99", "--corpus-root", tmp_path,

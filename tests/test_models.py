@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import make_model
+from helpers import LSTM_GATES, lstm_gate_matrices, lstm_reference, make_model
 from nnlm.models import (FnnCore, FnnParameters, HiddenState, LstmCore,
                          LstmParameters, RnnCore, RnnParameters, birnn_encode,
-                         fnn_forward, lstm_step, make_core, rnn_step,
-                         sequence_backward, zero_state)
-from nnlm.numerics import make_rng, sigmoid, softmax
+                         fnn_forward, make_core, rnn_step, zero_state)
+from nnlm.numerics import init_matrix, make_rng, sigmoid, softmax
+from nnlm.output_layer import FullSoftmax
 
 K, M, NH = 9, 4, 6
 
@@ -91,15 +91,23 @@ class TestRnn:
 class TestLstm:
     def test_step_matches_straight_line(self):
         p = rand_params("lstm", bias=True, peepholes=True)
+        w = lstm_gate_matrices(p)
         rng = make_rng(2)
         prev = HiddenState(rng.normal(size=NH), rng.normal(size=NH))
-        y, new = lstm_step(p, 5, prev)
+        tape = LstmCore(p).run([5], h0=prev)
+        new = tape.final_state
+        y = FullSoftmax.for_model(p).scores(tape.states[0], tape.xs[0])
         x = p.emb[5]
-        i = sigmoid(p.w_in_i @ x + p.w_rec_i @ prev.s + p.w_peep_i @ prev.c + p.b_i)
-        f = sigmoid(p.w_in_f @ x + p.w_rec_f @ prev.s + p.w_peep_f @ prev.c + p.b_f)
-        g = np.tanh(p.w_in_g @ x + p.w_rec_g @ prev.s + p.w_peep_g @ prev.c + p.b_g)
+
+        def pre(gate, tap):
+            return (w[f"w_in_{gate}"] @ x + w[f"w_rec_{gate}"] @ prev.s
+                    + w[f"w_peep_{gate}"] @ tap + w[f"b_{gate}"])
+
+        i = sigmoid(pre("i", prev.c))
+        f = sigmoid(pre("f", prev.c))
+        g = np.tanh(pre("g", prev.c))
         c = f * prev.c + i * g
-        o = sigmoid(p.w_in_o @ x + p.w_rec_o @ prev.s + p.w_peep_o @ c + p.b_o)
+        o = sigmoid(pre("o", c))
         s = o * np.tanh(c)
         np.testing.assert_allclose(new.c, c, atol=1e-12)
         np.testing.assert_allclose(new.s, s, atol=1e-12)
@@ -109,18 +117,19 @@ class TestLstm:
         """Changing only the incoming cell must move the output gate through
         f*c_prev even when the candidate path is suppressed."""
         p = rand_params("lstm", bias=True, peepholes=True)
-        p.b_i[:] = -50.0  # input gate shut, candidate contributes nothing
-        s0 = np.zeros(NH)
-        _, a = lstm_step(p, 1, HiddenState(s0, np.zeros(NH)))
-        _, b = lstm_step(p, 1, HiddenState(s0, np.ones(NH)))
+        lstm_gate_matrices(p)["b_i"][:] = -50.0  # input gate shut
+        core, s0 = LstmCore(p), np.zeros(NH)
+        a = core.run([1], h0=HiddenState(s0, np.zeros(NH))).final_state
+        b = core.run([1], h0=HiddenState(s0, np.ones(NH))).final_state
         assert np.abs(a.s - b.s).max() > 1e-4
 
     def test_gate_saturation_preserves_cell(self):
         """Forget gate pinned open and input gate pinned shut: the cell should
         survive 100 steps essentially unchanged."""
         p = rand_params("lstm", bias=True, peepholes=False)
-        p.b_f[:] = 50.0
-        p.b_i[:] = -50.0
+        w = lstm_gate_matrices(p)
+        w["b_f"][:] = 50.0
+        w["b_i"][:] = -50.0
         core = LstmCore(p)
         c0 = make_rng(3).normal(size=NH)
         tape = core.run(np.ones(100, dtype=np.int64), h0=HiddenState(np.zeros(NH), c0))
@@ -134,6 +143,61 @@ class TestLstm:
         # candidate tanh(0)=0 so the cell never moves off zero
         np.testing.assert_array_equal(tape.final_state.c, np.zeros(NH))
         np.testing.assert_array_equal(tape.final_state.s, np.zeros(NH))
+
+    @pytest.mark.parametrize("words", [[3, 1, 4, 1, 5, 8, 2, 6, 5, 3], []],
+                             ids=["sentence", "empty"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("peepholes", [True, False],
+                             ids=["peepholes", "no-peepholes"])
+    def test_stacked_core_matches_per_gate_reference(self, peepholes, bias, words):
+        p = rand_params("lstm", seed=4, bias=bias, peepholes=peepholes)
+        if bias:
+            p.b[:] = make_rng(5).normal(scale=0.5, size=p.b.shape)
+        rng = make_rng(6)
+        h0 = HiddenState(rng.normal(size=NH), rng.normal(size=NH))
+        d_states = [rng.normal(size=NH) for _ in words]
+        d_inputs = [None if t % 3 == 1 else rng.normal(size=M)
+                    for t in range(len(words))]
+        states, cells, expect = lstm_reference(p, words, h0, d_states, d_inputs)
+
+        core = LstmCore(p)
+        tape = core.run(words, h0=h0)
+        got = core.backward(tape, d_states, d_inputs)
+        assert len(tape.states) == len(words)
+        for t in range(len(words)):
+            np.testing.assert_allclose(tape.states[t], states[t], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(tape.cells[t], cells[t], rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(tape.xs[t], p.emb[words[t]])
+        final = (states[-1], cells[-1]) if words else (h0.s, h0.c)
+        np.testing.assert_allclose(tape.final_state.s, final[0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tape.final_state.c, final[1], rtol=1e-12, atol=1e-12)
+        assert set(got) == set(expect) == set(p.core_arrays())
+        assert set(got.rows) == set(expect.rows) == {"emb"}
+        np.testing.assert_array_equal(got.rows["emb"], expect.rows["emb"])
+        for name in expect:
+            assert got[name].shape == expect[name].shape, name
+            np.testing.assert_allclose(got[name], expect[name], rtol=1e-12,
+                                       atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("peepholes", [True, False])
+    def test_create_matches_per_gate_draws(self, peepholes):
+        """A seed draws the same numbers as a model stored one matrix per
+        gate, drawn in the order i, f, o, g (input, recurrent, peephole)."""
+        p = LstmParameters.create(K, M, NH, make_rng(8), direct=True, bias=True,
+                                  peepholes=peepholes)
+        rng = make_rng(8)
+        np.testing.assert_array_equal(p.emb, init_matrix(K, M, rng))
+        w = lstm_gate_matrices(p)
+        for gate in ("i", "f", "o", "g"):
+            np.testing.assert_array_equal(w[f"w_in_{gate}"], init_matrix(NH, M, rng))
+            np.testing.assert_array_equal(w[f"w_rec_{gate}"], init_matrix(NH, NH, rng))
+            if peepholes:
+                np.testing.assert_array_equal(w[f"w_peep_{gate}"],
+                                              init_matrix(NH, NH, rng))
+        np.testing.assert_array_equal(p.w_out, init_matrix(K, NH, rng))
+        np.testing.assert_array_equal(p.w_direct, init_matrix(K, M, rng))
+        np.testing.assert_array_equal(p.b, np.zeros(len(LSTM_GATES) * NH))
+        assert (p.w_peep is None) == (p.w_co is None) == (not peepholes)
 
 
 class TestBackwardPlumbing:
@@ -157,15 +221,6 @@ class TestBackwardPlumbing:
         np.testing.assert_allclose(-d_state, -(p.w_out.T @ dy), atol=1e-12)
         grads = strategy.grads()
         np.testing.assert_allclose(grads["b_out"], dy, atol=1e-12)
-
-    def test_sequence_backward_delegates(self):
-        core, _ = make_model("lstm")
-        tape = core.run([1, 2])
-        d = [np.ones(7), np.ones(7)]
-        a = sequence_backward(core, tape, d)
-        b = core.backward(tape, d)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
 
     def test_run_is_deterministic(self):
         core, _ = make_model("lstm", seed=11)
