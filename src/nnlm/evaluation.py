@@ -1,4 +1,4 @@
-"""Perplexity and throughput measurement, forward and reversed scoring.
+"""Perplexity measurement, forward and reversed scoring.
 
 Every token including the end mark is scored; the start mark is conditioned
 on but never scored.  Perplexity is kept in bits: PPL = 2^(-mean log2 p).
@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import caching
 from .corpus import Sentence, Vocabulary
@@ -71,7 +69,8 @@ def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
     if not sentences:
         raise ValueError("cannot evaluate an empty sentence list")
     use_cache = cache is not None and cache.lam < 1.0
-    if use_cache and cache.mode == "class":
+    class_cache = use_cache and cache.mode == "class"
+    if class_cache:
         if not isinstance(strategy, ClassSoftmax):
             raise ValueError("class cache requires a class-factored output layer")
         class_of = strategy.assignment.class_of
@@ -94,38 +93,32 @@ def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
         enc = vocab.encode(sent)
         inputs, targets = enc[:-1], enc[1:]
         tape = core.run(inputs, h0=h0)
+        targets = targets.tolist()
+        if class_cache:
+            # the class cache needs the word factor; the class factor is
+            # computed once, and lp_c + lp_w is exactly ClassSoftmax.logprob
+            factors = [strategy.factor_logprobs(s, w)
+                       for s, w in zip(tape.states, targets)]
+            logps = [lp_c + lp_w for lp_c, lp_w in factors]
+        else:
+            logps = strategy.score_sentence(tape.states, tape.xs, targets)[0].tolist()
         total = 0.0
-        for t, target in enumerate(targets):
-            lp = strategy.logprob(tape.states[t], tape.xs[t], int(target))
+        for t, (target, lp) in enumerate(zip(targets, logps)):
             if use_cache and len(ring):
-                if cache.mode == "word":
-                    pc = caching.cache_probability(ring, int(target), cache)
-                else:
-                    _, lp_word = strategy.factor_logprobs(tape.states[t], int(target))
+                if class_cache:
                     pc = caching.class_cache_probability(
-                        ring, int(class_of[target]), cache) * math.exp(lp_word)
+                        ring, int(class_of[target]), cache) * math.exp(factors[t][1])
+                else:
+                    pc = caching.cache_probability(ring, target, cache)
                 p = caching.interpolate(math.exp(lp), pc, cache.lam)
                 total += math.log2(p)
             else:
                 total += lp * LOG2E
             if use_cache:
-                ring.push(int(target) if cache.mode == "word" else int(class_of[target]))
+                ring.push(int(class_of[target]) if class_cache else target)
         sent_log2.append(total)
         tokens += len(targets)
         if carryover:
             prev_state = tape.final_state
     elapsed = time.perf_counter() - t0
     return report_from_log2(sent_log2, tokens, elapsed)
-
-
-def evaluate_reversed(core, strategy, sentences: list[Sentence],
-                      vocab: Vocabulary, **kwargs) -> EvalReport:
-    """Score reversed sentences with a model trained on reversed text."""
-    return perplexity(core, strategy, reverse_sentences(sentences), vocab, **kwargs)
-
-
-def throughput(tokens: int, elapsed: float) -> float | None:
-    """Scored-or-trained tokens per wall-clock second; None when nothing ran."""
-    if tokens == 0 or elapsed <= 0:
-        return None
-    return tokens / elapsed

@@ -14,7 +14,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .numerics import Gradients, init_matrix, log_softmax
+from .numerics import Gradients, init_matrix, log_softmax, log_softmax_rows
 
 Arrays = dict[str, np.ndarray]
 
@@ -217,8 +217,6 @@ def hierarchy_from_classes(assignment: ClassAssignment) -> HierarchicalCode:
 class FullSoftmax:
     """Softmax over all k scores; ``energy=True`` uses e^{-y} normalization."""
 
-    needs_input = True
-
     def __init__(self, w_out, w_direct=None, b_out=None, energy=False):
         self.w_out = w_out
         self.w_direct = w_direct
@@ -254,7 +252,7 @@ class FullSoftmax:
         return out
 
     def zero_grads(self):
-        self._g = {name: np.zeros_like(a) for name, a in self.params().items()}
+        self._g = {}    # score_sentence assigns each sentence's gradients whole
 
     def grads(self) -> Arrays:
         return self._g
@@ -286,17 +284,6 @@ class FullSoftmax:
     def log_probs(self, state, x=None) -> np.ndarray:
         return self._logp(self.scores(state, x))
 
-    def backprop_dy(self, dy, state, x):
-        """Accumulate parameter gradients for dL/dy and return (d_state, d_x)."""
-        self._g["w_out"] += np.outer(dy, state)
-        if self.b_out is not None:
-            self._g["b_out"] += dy
-        d_x = None
-        if self.w_direct is not None:
-            self._g["w_direct"] += np.outer(dy, x)
-            d_x = self.w_direct.T @ dy
-        return self.w_out.T @ dy, d_x
-
     def backprop_rows(self, rows, dy, state, x):
         """(gradients, d_state, d_x) for dL/dy on the scores of ``rows``
         alone (distinct word ids); the gradients are row-compact over
@@ -311,29 +298,46 @@ class FullSoftmax:
             g.set_rows("b_out", rows, dy)
         return g, self.w_out[rows].T @ dy, d_x
 
-    def logprob_grad(self, state, x, target):
-        if not 0 <= target < self.k:
-            raise ValueError(f"target {target} out of range for k={self.k}")
-        y = self.scores(state, x)
-        # same log-softmax route as logprob() so static and gradient passes
-        # agree bit-for-bit
-        lp = self._logp(y)
-        logp = float(lp[target])
-        p = np.exp(lp)
+    def score_sentence(self, states, xs, targets, grad=False):
+        """``(logps, d_states, d_inputs)`` for a sentence whose target t is
+        scored from row t of ``states`` (and ``xs``): one GEMM and a row-wise
+        log-softmax.  ``grad`` adds the NLL gradients of the states, of the
+        inputs (None without direct connections) and, through ``grads()``, of
+        the parameters; ``logps`` is bit-identical with and without it."""
+        targets = np.asarray(targets, dtype=np.int64)
+        T = len(targets)
+        if np.any((targets < 0) | (targets >= self.k)):
+            raise ValueError(f"target out of range for k={self.k}")
+        S = np.asarray(states, dtype=np.float64).reshape(T, self.w_out.shape[1])
+        Y = S @ self.w_out.T
+        if self.w_direct is not None:
+            X = np.asarray(xs, dtype=np.float64).reshape(T, self.w_direct.shape[1])
+            Y += X @ self.w_direct.T
+        if self.b_out is not None:
+            Y += self.b_out
         if self.energy:
-            dy = -p
-            dy[target] += 1.0
-        else:
-            dy = p
-            dy[target] -= 1.0
-        d_state, d_x = self.backprop_dy(dy, state, x)
-        return logp, d_state, d_x
+            np.negative(Y, out=Y)
+        lp = log_softmax_rows(Y)
+        hit = (np.arange(T), targets)
+        logps = lp[hit]
+        if not grad:
+            return logps, None, None
+        dY = np.exp(lp, out=lp)
+        dY[hit] -= 1.0
+        if self.energy:
+            np.negative(dY, out=dY)
+        self._g = {"w_out": dY.T @ S}
+        d_x = None
+        if self.w_direct is not None:
+            self._g["w_direct"] = dY.T @ X
+            d_x = dY @ self.w_direct
+        if self.b_out is not None:
+            self._g["b_out"] = dY.sum(axis=0)
+        return logps, dY @ self.w_out, d_x
 
 
 class _Grouped:
     """Shared machinery for strategies built from contiguous group softmaxes."""
-
-    needs_input = False
 
     def params(self) -> Arrays:
         raise NotImplementedError
@@ -382,6 +386,19 @@ class _Grouped:
 
     def log_probs(self, state, x=None) -> np.ndarray:
         return np.array([self.logprob(state, x, w) for w in range(self.k)])
+
+    def score_sentence(self, states, xs, targets, grad=False):
+        """``FullSoftmax.score_sentence`` as a loop over ``logprob`` or, after
+        ``zero_grads``, ``logprob_grad``: each position's arithmetic is that
+        of single-token scoring.  ``d_inputs`` is always None."""
+        targets = [int(w) for w in targets]
+        if not grad:
+            return np.array([self.logprob(s, None, w)
+                             for s, w in zip(states, targets)]), None, None
+        self.zero_grads()
+        steps = [self.logprob_grad(s, None, w) for s, w in zip(states, targets)]
+        return (np.array([lp for lp, _, _ in steps]),
+                np.array([ds for _, ds, _ in steps]), None)
 
 
 class ClassSoftmax(_Grouped):

@@ -106,17 +106,12 @@ def clip_gradients(grads: Arrays, max_norm: float) -> bool:
 def sentence_gradients(core, strategy, enc: np.ndarray):
     """(per-step log-probs, merged gradient dict) for one encoded sentence."""
     inputs, targets = enc[:-1], enc[1:]
-    strategy.zero_grads()
     tape = core.run(inputs)
-    d_states, d_inputs, logps = [], [], []
-    for t, tgt in enumerate(targets):
-        lp, ds, dx = strategy.logprob_grad(tape.states[t], tape.xs[t], int(tgt))
-        logps.append(lp)
-        d_states.append(ds)
-        d_inputs.append(dx)
+    logps, d_states, d_inputs = strategy.score_sentence(tape.states, tape.xs,
+                                                        targets, grad=True)
     grads = core.backward(tape, d_states, d_inputs)
     grads.update(strategy.grads())
-    return logps, grads
+    return logps.tolist(), grads
 
 
 def _merged_arrays(core, strategy) -> Arrays:
@@ -329,19 +324,16 @@ def _sum_gradients(parts: list[Gradients]) -> Gradients:
 
 
 def _importance_sentence(core, strategy, enc, proposal, rng, config):
-    """Per-position sampled gradients summed over one sentence."""
+    """Per-position sampled gradients summed over one sentence, and the
+    sentence's exact log-probs for the reported NLL."""
     inputs, targets = enc[:-1], enc[1:]
     tape = core.run(inputs)
-    logps: list[float] = []
-    parts: list[Gradients] = []
-    for t, tgt in enumerate(targets):
-        x, h = tape.xs[t], tape.states[t]
-        grads, _ = importance_sampling_gradient(core, strategy, tape.contexts[t],
-                                                int(tgt), proposal, rng, config,
-                                                hidden=(x, h))
-        parts.append(grads)
-        logps.append(strategy.logprob(h, x, int(tgt)))
-    return logps, _sum_gradients(parts)
+    parts = [importance_sampling_gradient(core, strategy, tape.contexts[t],
+                                          int(tgt), proposal, rng, config,
+                                          hidden=(tape.xs[t], tape.states[t]))[0]
+             for t, tgt in enumerate(targets)]
+    logps, _, _ = strategy.score_sentence(tape.states, tape.xs, targets)
+    return logps.tolist(), _sum_gradients(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared test utilities: small model factories, finite-difference checks,
-the dense reference for the row-compact training step, and the per-gate
-reference for the stacked LSTM core."""
+the dense reference for the row-compact training step, the per-gate
+reference for the stacked LSTM core, the per-token reference for sentence
+scoring by the full softmax, and the two-branch logistic function."""
 
 import math
 
@@ -8,8 +9,8 @@ import numpy as np
 
 from nnlm.models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
                          RnnCore, RnnParameters)
-from nnlm.numerics import (Gradients, make_rng, sigmoid, sigmoid_deriv,
-                           tanh_deriv)
+from nnlm.numerics import (Gradients, log_softmax, make_rng, sigmoid,
+                           sigmoid_deriv, tanh_deriv)
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalSoftmax,
                                assign_uniform_random, hierarchy_uniform_random)
 from nnlm.training import _importance_sentence, sentence_gradients
@@ -245,3 +246,37 @@ def lstm_reference(p, inputs, h0, d_states, d_inputs=None):
         grads["b"] = stack("b_")
     grads.set_rows("emb", rows, d_emb)
     return [st["s"] for st in steps], [st["c"] for st in steps], grads
+
+
+def full_softmax_token_reference(strategy, states, xs, targets):
+    """``FullSoftmax.score_sentence(..., grad=True)`` one position at a time:
+    a gemv and a log-softmax per token, each parameter gradient accumulated
+    as one outer product per token.  Returns (logps, d_states, d_inputs,
+    grads); ``d_inputs`` is None without direct connections."""
+    grads = {name: np.zeros_like(a) for name, a in strategy.params().items()}
+    logps, d_states, d_inputs = [], [], []
+    for state, x, target in zip(states, xs, targets):
+        y = strategy.scores(state, x)
+        lp = log_softmax(-y) if strategy.energy else log_softmax(y)
+        dy = np.exp(lp)
+        dy[target] -= 1.0
+        if strategy.energy:
+            dy = -dy
+        logps.append(float(lp[target]))
+        grads["w_out"] += np.outer(dy, state)
+        d_states.append(strategy.w_out.T @ dy)
+        if strategy.b_out is not None:
+            grads["b_out"] += dy
+        if strategy.w_direct is not None:
+            grads["w_direct"] += np.outer(dy, x)
+            d_inputs.append(strategy.w_direct.T @ dy)
+    return (np.array(logps), np.array(d_states),
+            np.array(d_inputs) if strategy.w_direct is not None else None, grads)
+
+
+def sigmoid_reference(x):
+    """The logistic function with one division per branch, as
+    ``numerics.sigmoid`` was first written."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))

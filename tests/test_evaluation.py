@@ -7,7 +7,7 @@ from helpers import make_model
 from nnlm.caching import CacheConfig
 from nnlm.corpus import build_vocabulary
 from nnlm.evaluation import (EvalReport, perplexity, report_from_log2,
-                             reverse_sentences, throughput)
+                             reverse_sentences)
 from nnlm.models import RnnCore, RnnParameters
 from nnlm.numerics import make_rng
 from nnlm.output_layer import FullSoftmax
@@ -199,8 +199,3 @@ class TestReports:
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == ["tokens", "log2_total", "ppl", "words_per_s"]
         assert lines[1].split("\t")[0] == "10"
-
-    def test_throughput(self):
-        assert throughput(100, 2.0) == 50.0
-        assert throughput(0, 2.0) is None
-        assert throughput(100, 0.0) is None

@@ -215,10 +215,11 @@ class TestBackwardPlumbing:
         tape = core.run([2])
         s = tape.states[0]
         target = 4
-        _, d_state, _ = strategy.logprob_grad(s, tape.xs[0], target)
+        _, d_states, _ = strategy.score_sentence(tape.states, tape.xs, [target],
+                                                 grad=True)
         dy = softmax(p.w_out @ s + p.b_out)
         dy[target] -= 1.0
-        np.testing.assert_allclose(-d_state, -(p.w_out.T @ dy), atol=1e-12)
+        np.testing.assert_allclose(-d_states[0], -(p.w_out.T @ dy), atol=1e-12)
         grads = strategy.grads()
         np.testing.assert_allclose(grads["b_out"], dy, atol=1e-12)
 

@@ -1,26 +1,10 @@
 import numpy as np
 import pytest
 
-from nnlm.numerics import (init_matrix, log_softmax, make_rng, matvec,
-                           sigmoid, sigmoid_deriv, softmax, tanh_act,
+from helpers import sigmoid_reference
+from nnlm.numerics import (init_matrix, log_softmax, log_softmax_rows,
+                           make_rng, sigmoid, sigmoid_deriv, softmax,
                            tanh_deriv)
-
-
-class TestMatvec:
-    def test_identity(self):
-        np.testing.assert_array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_hand_product(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), [1.0, 1.0])
-        np.testing.assert_array_equal(out, [3.0, 7.0])
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(matvec(np.zeros((3, 2)), [5.0, -2.0]),
-                                      np.zeros(3))
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2,\)"):
-            matvec(np.zeros((2, 3)), np.zeros(2))
 
 
 class TestSoftmax:
@@ -55,11 +39,26 @@ class TestSoftmax:
         y = make_rng(9).normal(size=30)
         np.testing.assert_allclose(log_softmax(y), np.log(softmax(y)), atol=1e-12)
 
+    def test_log_softmax_rows_is_row_by_row(self):
+        y = make_rng(10).normal(0, 30, size=(6, 500))
+        rows = np.array([log_softmax(row) for row in y])
+        out = log_softmax_rows(y)
+        assert out is y
+        np.testing.assert_allclose(out, rows, rtol=0, atol=1e-12)
+        assert log_softmax_rows(np.zeros((0, 4))).shape == (0, 4)
+
 
 class TestActivations:
     def test_values_at_zero(self):
         assert float(sigmoid(0.0)) == 0.5
-        assert tanh_act(0.0) == 0.0
+
+    def test_sigmoid_bit_identical_to_two_branch_form(self):
+        special = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+                   800.0, -800.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate([special, make_rng(12).normal(size=1000) * 50])
+        with np.errstate(all="ignore"):
+            got, want = sigmoid(x), sigmoid_reference(x)
+        assert got.tobytes() == want.tobytes()
 
     def test_sigmoid_symmetry(self):
         assert abs(float(sigmoid(-2.0)) - (1.0 - float(sigmoid(2.0)))) < 1e-15

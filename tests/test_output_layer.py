@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import full_softmax_token_reference
 from nnlm.corpus import build_vocabulary
 from nnlm.numerics import init_matrix, make_rng
 from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
@@ -207,16 +208,98 @@ class TestGradientAccumulation:
         assert all(np.abs(g).sum() == 0 for g in cls.grads().values())
 
     def test_logprob_matches_logprob_grad_value(self):
+        """A one-token sentence scores each target as ``logprob`` does, to a
+        GEMM row's rounding for the full softmax and bit for bit for the
+        looping layers."""
         for name, strategy in strategies():
             state = make_rng(22).normal(size=NH)
             x = make_rng(23).normal(size=3)
             for target in (0, K - 1, 5):
                 lp = strategy.logprob(state, x, target)
-                lg, _, _ = strategy.logprob_grad(state, x, target)
-                assert lp == lg, name
+                lg, _, _ = strategy.score_sentence([state], [x], [target],
+                                                   grad=True)
+                if name == "full":
+                    assert lg[0] == pytest.approx(lp, rel=1e-14), name
+                else:
+                    assert lg[0] == lp, name
             strategy.zero_grads()
 
     def test_bad_target_rejected(self):
         for name, strategy in strategies():
             with pytest.raises(ValueError):
                 strategy.logprob(np.zeros(NH), np.zeros(3), K)
+
+
+def sentence_inputs(n_i, T, seed):
+    rng = make_rng(seed)
+    states, xs = rng.normal(size=(T, NH)), rng.normal(size=(T, n_i))
+    targets = [5] if T == 1 else [0, K - 1, 5, 5, 3, 0, 5, 9, K - 1, 2, 5, 0][:T]
+    return states, xs, targets
+
+
+class TestScoreSentence:
+    @pytest.mark.parametrize("T", [1, 12])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("energy", [False, True])
+    def test_full_matches_token_reference(self, energy, direct, bias, T):
+        full = FullSoftmax.create(K, NH, make_rng(30), n_i=3, direct=direct,
+                                  bias=bias, energy=energy)
+        if bias:
+            full.b_out[:] = make_rng(31).normal(size=K)
+        states, xs, targets = sentence_inputs(3, T, 32)
+        logps, d_states, d_inputs = full.score_sentence(states, xs, targets,
+                                                        grad=True)
+        ref = full_softmax_token_reference(full, states, xs, targets)
+        close = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logps, ref[0], **close)
+        np.testing.assert_allclose(d_states, ref[1], **close)
+        if direct:
+            np.testing.assert_allclose(d_inputs, ref[2], **close)
+        else:
+            assert d_inputs is None and ref[2] is None
+        assert set(full.grads()) == set(ref[3])
+        for name, g in ref[3].items():
+            np.testing.assert_allclose(full.grads()[name], g, **close)
+
+    @pytest.mark.parametrize("name,strategy", strategies(),
+                             ids=[n for n, _ in strategies()])
+    def test_out_of_range_target_raises(self, name, strategy):
+        states, xs, _ = sentence_inputs(3, 2, 33)
+        for bad in (K, -1):
+            with pytest.raises(ValueError):
+                strategy.score_sentence(states, xs, [1, bad])
+
+    @pytest.mark.parametrize("name,strategy", strategies(),
+                             ids=[n for n, _ in strategies()])
+    def test_grad_and_static_logps_bit_identical(self, name, strategy):
+        states, xs, targets = sentence_inputs(3, 12, 34)
+        static, d_states, d_inputs = strategy.score_sentence(states, xs, targets)
+        assert d_states is None and d_inputs is None
+        trained, d_states, _ = strategy.score_sentence(states, xs, targets,
+                                                       grad=True)
+        assert static.tobytes() == trained.tobytes()
+        assert d_states.shape == (12, NH)
+
+    @pytest.mark.parametrize("name,strategy", strategies()[1:],
+                             ids=[n for n, _ in strategies()[1:]])
+    def test_grouped_equals_token_loop(self, name, strategy):
+        states, xs, targets = sentence_inputs(3, 12, 35)
+        strategy.score_sentence(states[::-1], xs, targets, grad=True)
+        logps, d_states, d_inputs = strategy.score_sentence(states, xs, targets,
+                                                            grad=True)
+        got = strategy.grads()
+        strategy.zero_grads()
+        steps = [strategy.logprob_grad(s, x, w)
+                 for s, x, w in zip(states, xs, targets)]
+        want = strategy.grads()
+        assert d_inputs is None
+        assert logps.tobytes() == np.array([lp for lp, _, _ in steps]).tobytes()
+        assert d_states.tobytes() == np.array([ds for _, ds, _ in steps]).tobytes()
+        assert set(got) == set(want) and got.rows.keys() == want.rows.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for key in want.rows:
+            assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
+        static = [strategy.logprob(s, x, w) for s, x, w in zip(states, xs, targets)]
+        assert strategy.score_sentence(states, xs, targets)[0].tolist() == static
