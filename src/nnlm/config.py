@@ -89,6 +89,10 @@ class RunConfig:
             raise ConfigError(
                 "train.mode = importance requires output.strategy = full and "
                 "output.energy = true")
+        try:
+            self.training_config()
+        except ValueError as exc:
+            raise ConfigError(f"train: {exc}") from None
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(

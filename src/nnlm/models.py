@@ -115,9 +115,12 @@ class FnnParameters:
 
 @dataclass
 class FnnTape:
-    contexts: list[np.ndarray]
-    xs: list[np.ndarray]
-    states: list[np.ndarray]
+    """Row t of each array belongs to input position t: its n-1 context
+    words, their concatenated embeddings and its hidden state."""
+
+    contexts: np.ndarray    # T x (n - 1) word ids
+    xs: np.ndarray          # T x m(n - 1)
+    states: np.ndarray      # T x n_h
 
     @property
     def final_state(self) -> HiddenState:
@@ -139,68 +142,42 @@ class FnnCore:
     def run(self, inputs, h0: HiddenState | None = None) -> FnnTape:
         """One hidden state per input position; the context window for position
         t is the last n-1 of ``inputs[:t+1]``, left-padded with the first token
-        (the sentence-start mark for encoded sentences)."""
+        (the sentence-start mark for encoded sentences).  Every window goes
+        through one product with ``w_in``."""
         p = self.params
         inputs = np.asarray(inputs, dtype=np.int64)
         _check_indices(inputs, p.k)
+        T = len(inputs)
         span = p.n - 1
-        contexts, xs, states = [], [], []
-        for t in range(len(inputs)):
-            lo = t + 1 - span
-            ctx = inputs[max(lo, 0): t + 1]
-            if lo < 0:
-                ctx = np.concatenate([np.full(-lo, inputs[0], dtype=np.int64), ctx])
-            x, h = _fnn_hidden(p, ctx)
-            contexts.append(ctx)
-            xs.append(x)
-            states.append(h)
-        return FnnTape(contexts, xs, states)
+        contexts = inputs[np.maximum(np.arange(T)[:, None] + np.arange(1 - span, 1), 0)]
+        X = p.emb[contexts].reshape(T, span * p.m)
+        A = X @ p.w_in.T
+        if p.b_in is not None:
+            A += p.b_in
+        return FnnTape(contexts, X, np.tanh(A, out=A))
 
     def backward(self, tape: FnnTape, d_states, d_inputs=None) -> Gradients:
+        """Every weight gradient as one product over the sentence; the input
+        gradients reach ``emb`` through one scatter."""
         p = self.params
-        if len(d_states) != len(tape.states):
-            raise ValueError(
-                f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
-            )
-        g = _zero_grads(p)
-        m = p.m
-        words = np.concatenate([np.zeros(0, np.int64), *tape.contexts])
-        rows, slot = np.unique(words, return_inverse=True)
-        slot = slot.reshape(-1, p.n - 1)
-        d_emb = np.zeros((len(rows), m))
-        for t in range(len(d_states) - 1, -1, -1):
-            h = tape.states[t]
-            da = d_states[t] * tanh_deriv(h)
-            g["w_in"] += np.outer(da, tape.xs[t])
-            if p.b_in is not None:
-                g["b_in"] += da
-            dx = p.w_in.T @ da
-            if d_inputs is not None and d_inputs[t] is not None:
-                dx = dx + d_inputs[t]
-            np.add.at(d_emb, slot[t], dx.reshape(-1, m))
+        T = len(tape.states)
+        if len(d_states) != T:
+            raise ValueError(f"tape has {T} steps but got {len(d_states)} gradients")
+        dA = np.asarray(d_states, dtype=np.float64).reshape(T, p.n_h)
+        dA = dA * tanh_deriv(tape.states)
+        g = Gradients({"w_in": dA.T @ tape.xs})
+        if p.b_in is not None:
+            g["b_in"] = dA.sum(axis=0)
+        dX = dA @ p.w_in
+        if d_inputs is not None:
+            for t, d in enumerate(d_inputs):
+                if d is not None:
+                    dX[t] += d
+        rows, slot = np.unique(tape.contexts, return_inverse=True)
+        d_emb = np.zeros((len(rows), p.m))
+        np.add.at(d_emb, slot.reshape(-1), dX.reshape(-1, p.m))
         g.set_rows("emb", rows, d_emb)
         return g
-
-
-def fnn_forward(params: FnnParameters, context) -> np.ndarray:
-    """Score vector over the vocabulary for one (n-1)-word context."""
-    context = np.asarray(context, dtype=np.int64)
-    if len(context) != params.n - 1:
-        raise ValueError(f"context length {len(context)} != n-1 = {params.n - 1}")
-    _check_indices(context, params.k)
-    x, h = _fnn_hidden(params, context)
-    return _score(params, h, x)
-
-
-def _score(params, s, x):
-    if params.w_out is None:
-        raise ValueError("model was built without output weights")
-    y = params.w_out @ s
-    if params.w_direct is not None:
-        y = y + params.w_direct @ x
-    if params.b_out is not None:
-        y = y + params.b_out
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +290,6 @@ class RnnCore:
             carry = p.w_rec.T @ da
         g.set_rows("emb", rows, d_emb)
         return g
-
-
-def rnn_step(params: RnnParameters, word: int, prev: HiddenState):
-    """(score vector, new state) for one word given the previous state."""
-    core = RnnCore(params)
-    tape = core.run([word], h0=prev)
-    s = tape.states[0]
-    return _score(params, s, tape.xs[0]), HiddenState(s.copy())
 
 
 # ---------------------------------------------------------------------------

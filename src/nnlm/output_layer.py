@@ -284,20 +284,6 @@ class FullSoftmax:
     def log_probs(self, state, x=None) -> np.ndarray:
         return self._logp(self.scores(state, x))
 
-    def backprop_rows(self, rows, dy, state, x):
-        """(gradients, d_state, d_x) for dL/dy on the scores of ``rows``
-        alone (distinct word ids); the gradients are row-compact over
-        ``rows`` and the accumulated ones are left alone."""
-        g = Gradients()
-        g.set_rows("w_out", rows, np.outer(dy, state))
-        d_x = None
-        if self.w_direct is not None:
-            g.set_rows("w_direct", rows, np.outer(dy, x))
-            d_x = self.w_direct[rows].T @ dy
-        if self.b_out is not None:
-            g.set_rows("b_out", rows, dy)
-        return g, self.w_out[rows].T @ dy, d_x
-
     def score_sentence(self, states, xs, targets, grad=False):
         """``(logps, d_states, d_inputs)`` for a sentence whose target t is
         scored from row t of ``states`` (and ``xs``): one GEMM and a row-wise

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import evaluation
 from .corpus import CorpusSplit, Vocabulary
-from .models import FnnCore, FnnTape, _fnn_hidden
-from .numerics import Gradients, make_rng, softmax
+from .models import FnnCore, _fnn_hidden
+from .numerics import make_rng, softmax
 from .output_layer import FullSoftmax
 
 Arrays = dict[str, np.ndarray]
@@ -45,6 +45,12 @@ class TrainingConfig:
             raise ValueError(f"block size must be >= 1, got {self.block_size}")
         if self.mode not in ("exact", "importance"):
             raise ValueError(f"mode must be exact or importance, got {self.mode!r}")
+        if not (math.isfinite(self.clip) and self.clip > 0):
+            raise ValueError(f"gradient clip must be positive and finite, got {self.clip}")
+        if not math.isfinite(self.min_ess):
+            raise ValueError(f"min_ess must be finite, got {self.min_ess}")
+        if self.max_samples < 1:
+            raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
 
 
 @dataclass
@@ -206,15 +212,28 @@ def train(core, strategy, split: CorpusSplit, vocab: Vocabulary,
 
 @dataclass
 class ProposalDistribution:
-    """Cheap distribution the sampler draws negative words from."""
+    """Cheap distribution the sampler draws negative words from.
+
+    Draws invert a CDF built once.  ``Generator.choice(k, size, p=probs)``
+    builds the same CDF on every call and inverts it the same way, so both
+    give the same words and leave the generator in the same state.
+    """
 
     probs: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(self.probs <= 0):
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError(f"proposal must be a non-empty vector, got shape {probs.shape}")
+        total = probs.sum()
+        if not np.isfinite(total):
+            raise ValueError("proposal must be finite, with a finite sum")
+        if np.any(probs <= 0):
             raise ValueError("proposal must be positive everywhere")
-        self.probs = self.probs / self.probs.sum()
+        self.probs = probs / total
+        self.cdf = self.probs.cumsum()
+        self.cdf /= self.cdf[-1]
 
     @classmethod
     def unigram(cls, vocab: Vocabulary) -> "ProposalDistribution":
@@ -222,7 +241,7 @@ class ProposalDistribution:
         return cls(vocab.frequencies.astype(np.float64) + 1.0)
 
     def sample(self, rng, size: int) -> np.ndarray:
-        return rng.choice(len(self.probs), size=size, p=self.probs)
+        return self.cdf.searchsorted(rng.random(size), side="right")
 
 
 def effective_sample_size(weights) -> float:
@@ -253,16 +272,17 @@ class SamplingInfo:
 def importance_sampling_gradient(core: FnnCore, strategy: FullSoftmax, context,
                                  target: int, proposal: ProposalDistribution,
                                  rng, config: TrainingConfig, hidden=None):
-    """Estimated NLL gradient for one (context, target) example.
+    """Estimated NLL gradient on the output scores of one (context, target)
+    example.
 
     The positive term is the exact target-score gradient; the negative term
     self-normalizes weights e^{-y}/Q over words drawn block by block from the
     proposal until the effective sample size reaches ``min_ess``.  Past
-    ``max_samples`` draws the estimator gives up and backpropagates exactly.
-    ``hidden`` is the context's ``(x, h)`` when the caller already has it.
-    Returns ``(gradients, SamplingInfo)``; the output-weight gradients are
-    row-compact over the sampled words and the target (every word after a
-    fallback).
+    ``max_samples`` draws the estimator gives up and takes the exact
+    gradient.  ``hidden`` is the context's ``(x, h)`` when the caller already
+    has it.  Returns ``((rows, dy), SamplingInfo)``: ``dy`` estimates dL/dy
+    on the scores of the distinct words ``rows``, the sampled words and the
+    target (every word after a fallback); the caller backpropagates it.
     """
     if not isinstance(core, FnnCore):
         raise ValueError("importance sampling applies to the feed-forward model only")
@@ -300,40 +320,45 @@ def importance_sampling_gradient(core: FnnCore, strategy: FullSoftmax, context,
         np.subtract.at(dy, slot[:-1], r)
         dy[slot[-1]] += 1.0
 
-    out_grads, d_h, d_x = strategy.backprop_rows(rows, dy, h, x)
-    tape = FnnTape([context], [x], [h])
-    grads = core.backward(tape, [d_h], [d_x])
-    grads.update(out_grads)
-    return grads, SamplingInfo(n, ess, exact)
-
-
-def _sum_gradients(parts: list[Gradients]) -> Gradients:
-    """Sum of gradient dicts; a tensor row-compact in the parts stays so,
-    over the union of their rows."""
-    total = Gradients()
-    for name, first in parts[0].items():
-        if name in parts[0].rows:
-            rows, slot = np.unique(np.concatenate([p.rows[name] for p in parts]),
-                                   return_inverse=True)
-            values = np.zeros((len(rows),) + first.shape[1:])
-            np.add.at(values, slot, np.concatenate([p[name] for p in parts]))
-            total.set_rows(name, rows, values)
-        else:
-            total[name] = sum(p[name] for p in parts)
-    return total
+    return (rows, dy), SamplingInfo(n, ess, exact)
 
 
 def _importance_sentence(core, strategy, enc, proposal, rng, config):
-    """Per-position sampled gradients summed over one sentence, and the
-    sentence's exact log-probs for the reported NLL."""
+    """Sampled gradient of one sentence, and its exact log-probs for the
+    reported NLL.  Each position's estimate goes back to its hidden state
+    and input at once; the output-weight gradients are then products over
+    the sentence, row-compact over the union of the positions' rows, and
+    the core gradients one backward pass."""
     inputs, targets = enc[:-1], enc[1:]
     tape = core.run(inputs)
-    parts = [importance_sampling_gradient(core, strategy, tape.contexts[t],
-                                          int(tgt), proposal, rng, config,
-                                          hidden=(tape.xs[t], tape.states[t]))[0]
-             for t, tgt in enumerate(targets)]
-    logps, _, _ = strategy.score_sentence(tape.states, tape.xs, targets)
-    return logps.tolist(), _sum_gradients(parts)
+    S, X = tape.states, tape.xs
+    direct = strategy.w_direct is not None
+    dS = np.empty_like(S)
+    dX = np.empty_like(X) if direct else None
+    rows_t, dy_t = [], []
+    for t, target in enumerate(targets):
+        (rows, dy), _ = importance_sampling_gradient(
+            core, strategy, tape.contexts[t], int(target), proposal, rng,
+            config, hidden=(X[t], S[t]))
+        dS[t] = strategy.w_out[rows].T @ dy
+        if direct:
+            dX[t] = strategy.w_direct[rows].T @ dy
+        rows_t.append(rows)
+        dy_t.append(dy)
+    # column t of D is position t's dy over the union of rows; a position's
+    # rows are distinct, so each entry is written once
+    union, slot = np.unique(np.concatenate(rows_t), return_inverse=True)
+    cols = np.repeat(np.arange(len(targets)), [len(r) for r in rows_t])
+    D = np.zeros((len(union), len(targets)))
+    D[slot, cols] = np.concatenate(dy_t)
+    grads = core.backward(tape, dS, dX)
+    grads.set_rows("w_out", union, D @ S)
+    if direct:
+        grads.set_rows("w_direct", union, D @ X)
+    if strategy.b_out is not None:
+        grads.set_rows("b_out", union, D.sum(axis=1))
+    logps, _, _ = strategy.score_sentence(S, X, targets)
+    return logps.tolist(), grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+HERE = Path(__file__).resolve().parent
+# this checkout's library first, so a plain `python -m pytest` tests it and
+# not another installed copy; then the test helpers
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]

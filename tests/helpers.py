@@ -1,14 +1,18 @@
 """Shared test utilities: small model factories, finite-difference checks,
 the dense reference for the row-compact training step, the per-gate
-reference for the stacked LSTM core, the per-token reference for sentence
-scoring by the full softmax, and the two-branch logistic function."""
+reference for the stacked LSTM core, the per-position reference for the
+feed-forward core, the per-example importance-sampling gradient, one-context
+scoring for the FNN and one-step scoring for the RNN, the per-token reference
+for sentence scoring by the full softmax, and the two-branch logistic
+function."""
 
 import math
 
 import numpy as np
 
-from nnlm.models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
-                         RnnCore, RnnParameters)
+from nnlm.models import (FnnCore, FnnParameters, FnnTape, HiddenState,
+                         LstmCore, LstmParameters, RnnCore, RnnParameters,
+                         _check_indices, _fnn_hidden)
 from nnlm.numerics import (Gradients, log_softmax, make_rng, sigmoid,
                            sigmoid_deriv, tanh_deriv)
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalSoftmax,
@@ -280,3 +284,99 @@ def sigmoid_reference(x):
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def output_scores(params, s, x):
+    """Full-softmax scores of state ``s`` (and input ``x``) under the
+    score-side weights kept on a parameter object."""
+    if params.w_out is None:
+        raise ValueError("model was built without output weights")
+    y = params.w_out @ s
+    if params.w_direct is not None:
+        y = y + params.w_direct @ x
+    if params.b_out is not None:
+        y = y + params.b_out
+    return y
+
+
+def fnn_forward(params: FnnParameters, context) -> np.ndarray:
+    """Score vector over the vocabulary for one (n-1)-word context."""
+    context = np.asarray(context, dtype=np.int64)
+    if len(context) != params.n - 1:
+        raise ValueError(f"context length {len(context)} != n-1 = {params.n - 1}")
+    _check_indices(context, params.k)
+    x, h = _fnn_hidden(params, context)
+    return output_scores(params, h, x)
+
+
+def rnn_step(params: RnnParameters, word: int, prev: HiddenState):
+    """(score vector, new state) for one word given the previous state."""
+    tape = RnnCore(params).run([word], h0=prev)
+    s = tape.states[0]
+    return output_scores(params, s, tape.xs[0]), HiddenState(s.copy())
+
+
+def fnn_reference(p: FnnParameters, inputs, d_states, d_inputs=None):
+    """``FnnCore.run`` and ``FnnCore.backward`` one position at a time, as the
+    core was first written: a gemv per window forward, an outer product per
+    position and a scatter per window backward, in reverse order.  Returns
+    (contexts, xs, states, grads), ``emb`` row-compact."""
+    inputs = np.asarray(inputs, dtype=np.int64)
+    span = p.n - 1
+    contexts, xs, states = [], [], []
+    for t in range(len(inputs)):
+        lo = t + 1 - span
+        ctx = inputs[max(lo, 0): t + 1]
+        if lo < 0:
+            ctx = np.concatenate([np.full(-lo, inputs[0], dtype=np.int64), ctx])
+        x, h = _fnn_hidden(p, ctx)
+        contexts.append(ctx)
+        xs.append(x)
+        states.append(h)
+    grads = Gradients({"w_in": np.zeros_like(p.w_in)})
+    if p.b_in is not None:
+        grads["b_in"] = np.zeros_like(p.b_in)
+    words = np.concatenate([np.zeros(0, np.int64), *contexts])
+    rows, slot = np.unique(words, return_inverse=True)
+    slot = slot.reshape(-1, span)
+    d_emb = np.zeros((len(rows), p.m))
+    for t in range(len(inputs) - 1, -1, -1):
+        da = d_states[t] * tanh_deriv(states[t])
+        grads["w_in"] += np.outer(da, xs[t])
+        if p.b_in is not None:
+            grads["b_in"] += da
+        dx = p.w_in.T @ da
+        if d_inputs is not None and d_inputs[t] is not None:
+            dx = dx + d_inputs[t]
+        np.add.at(d_emb, slot[t], dx.reshape(-1, p.m))
+    grads.set_rows("emb", rows, d_emb)
+    return contexts, xs, states, grads
+
+
+def backprop_rows(strategy, rows, dy, state, x):
+    """(gradients, d_state, d_x) of a full softmax for dL/dy on the scores of
+    ``rows`` alone (distinct word ids); the gradients are row-compact over
+    ``rows``."""
+    g = Gradients()
+    g.set_rows("w_out", rows, np.outer(dy, state))
+    d_x = None
+    if strategy.w_direct is not None:
+        g.set_rows("w_direct", rows, np.outer(dy, x))
+        d_x = strategy.w_direct[rows].T @ dy
+    if strategy.b_out is not None:
+        g.set_rows("b_out", rows, dy)
+    return g, strategy.w_out[rows].T @ dy, d_x
+
+
+def example_gradient(core, strategy, ctx, rows, dy):
+    """Every parameter gradient of one FNN example whose output-score
+    gradient is ``dy`` on ``rows``, as ``importance_sampling_gradient``
+    returns it: the output layer's rows, then one backward step through the
+    core.  Row-compact tensors stay so."""
+    ctx = np.asarray(ctx, dtype=np.int64)
+    x, h = _fnn_hidden(core.params, ctx)
+    grads_out, d_h, d_x = backprop_rows(strategy, rows, dy, h, x)
+    tape = FnnTape(ctx[None, :], x[None, :], h[None, :])
+    grads = core.backward(tape, [d_h], [d_x])
+    grads.update(grads_out)
+    return grads

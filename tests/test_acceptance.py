@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from helpers import (GRADIENT_CONFIGS, check_model_gradients, dense,
-                     merged_arrays)
+                     example_gradient, fnn_forward, merged_arrays, rnn_step)
 from nnlm.caching import CacheConfig, WordCache, cache_distribution
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
 from nnlm.models import (FnnCore, FnnParameters, RnnCore, RnnParameters,
-                         fnn_forward, rnn_step, zero_state)
+                         zero_state)
 from nnlm.numerics import make_rng
 from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
                                HierarchicalSoftmax, assign_uniform_random,
@@ -152,21 +152,21 @@ def test_criterion_04_importance_sampling():
     proposal = ProposalDistribution(vocab_freqs.astype(float) + 1.0)
     ctx, target = np.array([3, 9]), 11
     exact_cfg = TrainingConfig(block_size=4, min_ess=1e9, max_samples=1)
-    exact, info = importance_sampling_gradient(core, strategy, ctx, target,
-                                               proposal, make_rng(0), exact_cfg)
+    estimate, info = importance_sampling_gradient(core, strategy, ctx, target,
+                                                  proposal, make_rng(0), exact_cfg)
     assert info.exact
     arrays = merged_arrays(core, strategy)
-    exact = dense(exact, arrays)
+    exact = dense(example_gradient(core, strategy, ctx, *estimate), arrays)
     den = sum(float(np.sum(g * g)) for g in exact.values())
 
     def median_err(n, trials=20):
         cfg = TrainingConfig(block_size=n, min_ess=1.0, max_samples=10 * n)
         errs = []
         for t in range(trials):
-            g, si = importance_sampling_gradient(core, strategy, ctx, target,
-                                                 proposal, make_rng(500 + t), cfg)
+            estimate, si = importance_sampling_gradient(
+                core, strategy, ctx, target, proposal, make_rng(500 + t), cfg)
             assert si.n_samples == n
-            g = dense(g, arrays)
+            g = dense(example_gradient(core, strategy, ctx, *estimate), arrays)
             num = sum(float(np.sum((g[x] - exact[x]) ** 2)) for x in exact)
             errs.append(math.sqrt(num / den))
         return float(np.median(errs))

@@ -263,6 +263,26 @@ class TestExitCodes:
         assert run_cli("train", cfg_path) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "train.clip = -5", "train.clip = 0", "train.min_ess = nan",
+        "train.alpha = 0", "train.max_samples = 0",
+    ])
+    def test_nonsense_training_setting_exits_2(self, setting, tmp_path,
+                                               capsys):
+        """Rejected with the configuration, before the corpus is read: the
+        corpus named here does not exist, which would otherwise exit 1."""
+        cfg = small_config(tmp_path / "no-such-corpus.txt")
+        cfg_path = tmp_path / "bad.cfg"
+        # a later line overrides an earlier one
+        cfg_path.write_text(serialize_config(cfg) + setting + "\n",
+                            encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: train: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_artifact_exits_1(self, corpus, tmp_path, capsys):
         assert run_cli("eval", tmp_path / "missing.nnlm", corpus) == 1
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import LSTM_GATES, lstm_gate_matrices, lstm_reference, make_model
+from helpers import (LSTM_GATES, fnn_forward, fnn_reference,
+                     lstm_gate_matrices, lstm_reference, make_model, rnn_step)
 from nnlm.models import (FnnCore, FnnParameters, HiddenState, LstmCore,
                          LstmParameters, RnnCore, RnnParameters, birnn_encode,
-                         fnn_forward, make_core, rnn_step, zero_state)
+                         make_core, zero_state)
 from nnlm.numerics import init_matrix, make_rng, sigmoid, softmax
 from nnlm.output_layer import FullSoftmax
 
@@ -46,6 +47,53 @@ class TestFnnForward:
     def test_out_of_range_word_rejected(self):
         with pytest.raises(ValueError, match="vocabulary"):
             FnnCore(rand_params("fnn")).run([0, K])
+
+
+FNN_CASES = {   # name: (n, inputs, which d_inputs rows are None)
+    "sentence": (4, [3, 1, 4, 1, 5, 8, 2, 6, 5, 3], None),
+    "one-position": (4, [7], None),
+    "shorter-than-window": (5, [2, 8], None),
+    "some-input-grads-none": (3, [3, 1, 4, 1, 5, 1], [1, 4]),
+}
+
+
+class TestFnnCoreGemm:
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("case", sorted(FNN_CASES))
+    def test_matches_per_position_reference(self, case, bias):
+        """The sentence-GEMM core against the per-position loop it replaced:
+        the same windows and embeddings, and hidden states and gradients
+        equal up to the order of summation."""
+        n, inputs, none_rows = FNN_CASES[case]
+        p = rand_params("fnn", seed=3, n=n, bias=bias)
+        rng = make_rng(4)
+        T = len(inputs)
+        d_states = rng.normal(size=(T, NH))
+        d_inputs = list(rng.normal(size=(T, M * (n - 1))))
+        for t in none_rows or []:
+            d_inputs[t] = None
+        contexts, xs, states, want = fnn_reference(p, inputs, d_states, d_inputs)
+
+        core = FnnCore(p)
+        tape = core.run(inputs)
+        np.testing.assert_array_equal(tape.contexts, contexts)
+        np.testing.assert_array_equal(tape.xs, xs)
+        np.testing.assert_allclose(tape.states, states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tape.final_state.s, states[-1], rtol=0,
+                                   atol=1e-12)
+        got = core.backward(tape, d_states, d_inputs)
+        assert list(got) == list(want)
+        np.testing.assert_array_equal(got.rows["emb"], want.rows["emb"])
+        for name, w in want.items():
+            err = float(np.abs(got[name] - w).max())
+            assert err <= 1e-12 * float(np.abs(w).max()), (name, err)
+
+    def test_empty_input(self):
+        p = rand_params("fnn", n=3)
+        tape = FnnCore(p).run([])
+        assert tape.contexts.shape == (0, 2) and tape.states.shape == (0, NH)
+        g = FnnCore(p).backward(tape, np.zeros((0, NH)))
+        assert not g["w_in"].any() and len(g.rows["emb"]) == 0
 
 
 class TestRnn:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import dense, dense_reference_epoch, make_model, merged_arrays
+from helpers import (dense, dense_reference_epoch, example_gradient,
+                     fnn_reference, make_model, merged_arrays)
+from nnlm import training
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
 from nnlm.models import FnnCore, FnnParameters, RnnCore, RnnParameters
@@ -18,6 +20,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(alpha=0.0), dict(alpha=-1.0), dict(beta=-1e-9),
         dict(block_size=0), dict(mode="antithetic"),
+        dict(clip=-5.0), dict(clip=0.0), dict(clip=float("nan")),
+        dict(clip=float("inf")), dict(min_ess=float("nan")),
+        dict(min_ess=float("inf")), dict(max_samples=0),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -124,6 +129,29 @@ class TestProposal:
         expect = vocab.frequencies + 1.0
         np.testing.assert_allclose(q.probs, expect / expect.sum())
 
+    @pytest.mark.parametrize("probs", [[1.0, np.nan], [1.0, np.inf],
+                                       [1.0, -np.inf], [[1.0, 2.0]], [],
+                                       [1e308, 1e308]])
+    def test_malformed_rejected(self, probs):
+        """What ``Generator.choice`` refused: a NaN or inf would otherwise
+        give wrong indices without an error."""
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            ProposalDistribution(np.array(probs, dtype=np.float64))
+
+    @pytest.mark.parametrize("k", [1, 7, 20003])
+    @pytest.mark.parametrize("size", [1, 100])
+    def test_sample_equals_generator_choice(self, k, size):
+        """Inverting the precomputed CDF draws exactly what ``rng.choice``
+        with the same probabilities draws, and consumes the same stream."""
+        q = ProposalDistribution(make_rng(k).random(k) + 0.01)
+        ours, theirs = make_rng(11), make_rng(11)
+        for _ in range(5):
+            a = q.sample(ours, size)
+            b = theirs.choice(k, size, p=q.probs)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert ours.random() == theirs.random()
+
     def test_sample_reproducible(self):
         q = ProposalDistribution(np.ones(10))
         a = q.sample(make_rng(0), 100)
@@ -170,7 +198,8 @@ class TestImportanceSampling:
             core, strategy, ctx, 4, _Exhaustive(k), make_rng(0), sampled_cfg)
         assert not info_s.exact and info_s.n_samples == k
         arrays = merged_arrays(core, strategy)
-        exact, sampled = dense(exact, arrays), dense(sampled, arrays)
+        exact = dense(example_gradient(core, strategy, ctx, *exact), arrays)
+        sampled = dense(example_gradient(core, strategy, ctx, *sampled), arrays)
         assert set(exact) == set(sampled)
         for name in exact:
             np.testing.assert_allclose(sampled[name], exact[name], atol=1e-10)
@@ -185,7 +214,7 @@ class TestImportanceSampling:
         exact, _ = importance_sampling_gradient(core, strategy, ctx, target,
                                                 proposal, make_rng(0), exact_cfg)
         arrays = merged_arrays(core, strategy)
-        exact = dense(exact, arrays)
+        exact = dense(example_gradient(core, strategy, ctx, *exact), arrays)
 
         def median_error(n, trials=30):
             cfg = TrainingConfig(block_size=n, min_ess=1.0, max_samples=10 * n)
@@ -194,7 +223,7 @@ class TestImportanceSampling:
                 g, info = importance_sampling_gradient(
                     core, strategy, ctx, target, proposal, make_rng(1000 + t), cfg)
                 assert info.n_samples == n
-                g = dense(g, arrays)
+                g = dense(example_gradient(core, strategy, ctx, *g), arrays)
                 num = sum(float(np.sum((g[x] - exact[x]) ** 2)) for x in exact)
                 den = sum(float(np.sum(exact[x] ** 2)) for x in exact)
                 errs.append(np.sqrt(num / den))
@@ -244,6 +273,76 @@ class TestImportanceSampling:
         cfg = TrainingConfig(mode="importance", max_epochs=1)
         with pytest.raises(ValueError, match="feed-forward"):
             train(core, FullSoftmax.for_model(p, energy=True), split, vocab, cfg)
+
+
+def reference_importance_sentence(core, strategy, enc, proposal, rng, config):
+    """One sentence's sampled gradient the way it was first computed: per
+    position, the context's hidden state by a gemv, the estimate, and a
+    one-position backward; the dense gradients summed, in the order of the
+    per-example tensors.  Returns (dense gradients, the SamplingInfo of
+    every position)."""
+    arrays = merged_arrays(core, strategy)
+    total = {}
+    inputs, targets = enc[:-1], enc[1:]
+    contexts = fnn_reference(core.params, inputs,
+                             np.zeros((len(inputs), core.params.n_h)))[0]
+    infos = []
+    for ctx, target in zip(contexts, targets):
+        estimate, info = importance_sampling_gradient(
+            core, strategy, ctx, int(target), proposal, rng, config)
+        for name, g in dense(example_gradient(core, strategy, ctx, *estimate),
+                             arrays).items():
+            total[name] = total[name] + g if name in total else g
+        infos.append(info)
+    return total, infos
+
+
+class TestImportanceSentence:
+    # with these settings the long sentence has positions that stop on the
+    # ESS rule and positions that reach the budget and fall back
+    CONFIG = TrainingConfig(block_size=4, min_ess=5.0, max_samples=8)
+
+    @pytest.mark.parametrize("toggles,enc", [
+        (dict(direct=True, bias=True), [0, 3, 5, 3, 5, 3, 1, 7, 2]),
+        (dict(), [0, 3, 5, 3, 5, 3, 1, 7, 2]),
+        (dict(direct=True, bias=True), [0, 4]),
+    ], ids=["direct-bias", "plain", "one-position"])
+    def test_matches_per_position_reference(self, toggles, enc, monkeypatch):
+        core, strategy = make_model("fnn", "full", seed=3, k=12, energy=True,
+                                    **toggles)
+        enc = np.array(enc)
+        proposal = ProposalDistribution(np.arange(12, 0, -1.0))
+        ref_rng = make_rng(1)
+        want, want_infos = reference_importance_sentence(
+            core, strategy, enc, proposal, ref_rng, self.CONFIG)
+
+        infos = []
+
+        def recording(*args, **kwargs):
+            result = importance_sampling_gradient(*args, **kwargs)
+            infos.append(result[1])
+            return result
+
+        # the sentence loop must call the module-level name, which the
+        # benchmark's tracer wraps
+        monkeypatch.setattr(training, "importance_sampling_gradient", recording)
+        rng = make_rng(1)
+        _, grads = training._importance_sentence(core, strategy, enc, proposal,
+                                                 rng, self.CONFIG)
+        # the hidden states come from one GEMM here and from a gemv per
+        # position in the reference, so they may differ in the last bit
+        assert [(i.n_samples, i.exact) for i in infos] == \
+            [(i.n_samples, i.exact) for i in want_infos]
+        np.testing.assert_allclose([i.ess for i in infos],
+                                   [i.ess for i in want_infos], rtol=1e-12)
+        if len(enc) > 2:
+            assert {info.exact for info in infos} == {False, True}
+        assert rng.random() == ref_rng.random()
+        assert list(grads) == list(want)    # the clip norm's summation order
+        got = dense(grads, merged_arrays(core, strategy))
+        for name, w in want.items():
+            err = float(np.abs(got[name] - w).max())
+            assert err <= 1e-12 * float(np.abs(w).max()), (name, err)
 
 
 def memorizable_setup(arch="rnn", seed=0):
