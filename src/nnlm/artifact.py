@@ -1,21 +1,24 @@
 """Model persistence: a JSON manifest followed by named, length-prefixed,
 CRC32-checked little-endian tensor blocks.  Saving is deterministic, so a
-load/save round trip is byte-identical."""
+load/save round trip is byte-identical; loading a file that is not one whole
+artifact raises ArtifactError."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .corpus import Vocabulary
 from .models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
-                     RnnCore, RnnParameters)
+                     RnnCore, RnnParameters, model_arrays)
 from .numerics import make_rng
 from .output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
                            HierarchicalCode, HierarchicalSoftmax,
@@ -47,19 +50,17 @@ def build_assignment(cfg: RunConfig, vocab: Vocabulary, rng):
     if cfg.strategy == "full":
         return None
     k = vocab.size
-    r = cfg.classes if cfg.classes > 0 else default_num_classes(k)
-    if cfg.strategy == "class":
-        if cfg.assign == "uniform":
-            return assign_uniform_random(k, r, rng)
-        if cfg.assign == "freq":
-            return assign_by_frequency(vocab, r)
-        return assign_by_sqrt_frequency(vocab, r)
-    # hierarchical: frequency rules only make sense flat, depth 1
-    if cfg.assign == "uniform":
+    if cfg.strategy == "hier" and cfg.assign == "uniform":
         return hierarchy_uniform_random(k, cfg.levels, rng)
+    r = cfg.classes if cfg.classes > 0 else default_num_classes(k)
+    if r > k:
+        raise ConfigError(f"output.classes = {r} exceeds the vocabulary's {k} words")
+    if cfg.assign == "uniform":
+        return assign_uniform_random(k, r, rng)
     flat = (assign_by_frequency if cfg.assign == "freq"
             else assign_by_sqrt_frequency)(vocab, r)
-    return hierarchy_from_classes(flat)
+    # a frequency rule gives one flat level, so its hierarchy has depth 1
+    return flat if cfg.strategy == "class" else hierarchy_from_classes(flat)
 
 
 def build_model(cfg: RunConfig, vocab: Vocabulary, partition=None):
@@ -68,23 +69,30 @@ def build_model(cfg: RunConfig, vocab: Vocabulary, partition=None):
     if partition is None:
         partition = build_assignment(cfg, vocab, rng)
     k, m, n_h = vocab.size, cfg.m, cfg.n_h
-    full = cfg.strategy == "full"
-    kw = dict(direct=cfg.direct, bias=cfg.bias, output=full)
+    n_i = m * (cfg.n - 1) if cfg.arch == "fnn" else m
+
+    def full_softmax():
+        return FullSoftmax.create(k, n_h, rng, n_i, cfg.direct, cfg.bias, cfg.energy)
+
+    # The full softmax's weights were once stored with the core's and drawn
+    # before the FNN's and RNN's arrays but after the LSTM's; drawing them
+    # at the same point keeps every seed's numbers and artifact bytes.
+    early = cfg.strategy == "full" and cfg.arch != "lstm"
+    strategy = full_softmax() if early else None
     if cfg.arch == "fnn":
-        params = FnnParameters.create(k, m, n_h, cfg.n, rng, **kw)
-        core = FnnCore(params)
+        core = FnnCore(FnnParameters.create(k, m, n_h, cfg.n, rng, bias=cfg.bias))
     elif cfg.arch == "rnn":
-        params = RnnParameters.create(k, m, n_h, rng, **kw)
-        core = RnnCore(params)
+        core = RnnCore(RnnParameters.create(k, m, n_h, rng, bias=cfg.bias))
     else:
-        params = LstmParameters.create(k, m, n_h, rng, peepholes=cfg.peepholes, **kw)
-        core = LstmCore(params)
-    if full:
-        strategy = FullSoftmax.for_model(params, energy=cfg.energy)
-    elif cfg.strategy == "class":
-        strategy = ClassSoftmax.create(partition, n_h, rng, bias=cfg.bias)
-    else:
-        strategy = HierarchicalSoftmax.create(partition, n_h, rng, bias=cfg.bias)
+        core = LstmCore(LstmParameters.create(k, m, n_h, rng, bias=cfg.bias,
+                                              peepholes=cfg.peepholes))
+    if strategy is None:
+        if cfg.strategy == "full":
+            strategy = full_softmax()
+        elif cfg.strategy == "class":
+            strategy = ClassSoftmax.create(partition, n_h, rng, bias=cfg.bias)
+        else:
+            strategy = HierarchicalSoftmax.create(partition, n_h, rng, bias=cfg.bias)
     return core, strategy, partition
 
 
@@ -132,28 +140,64 @@ def _write_block(fh, name: str, arr: np.ndarray):
     fh.write(struct.pack("<I", zlib.crc32(data)))
 
 
-def _read_block(fh):
-    head = fh.read(2)
-    if not head:
-        return None
-    (name_len,) = struct.unpack("<H", head)
-    name = fh.read(name_len).decode("utf-8")
-    code, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-    (data_len,) = struct.unpack("<Q", fh.read(8))
-    data = fh.read(data_len)
-    (crc,) = struct.unpack("<I", fh.read(4))
+class _Reader:
+    """Front-to-back reads that refuse any length the rest of the file
+    cannot hold, so a truncated file or a corrupt length field ends as
+    ArtifactError before anything is allocated for it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise ArtifactError(
+                f"artifact is truncated: {what} needs {n} bytes, {self.left} remain")
+        self.left -= n
+        return self.fh.read(n)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
+def _read_block(r: _Reader):
+    (name_len,) = r.unpack("<H", "a tensor name length")
+    name = r.take(name_len, "a tensor name").decode("utf-8", "replace")
+    what = f"tensor block {name!r}"
+    code, ndim = r.unpack("<BB", what)
+    shape = r.unpack(f"<{ndim}q", what)
+    (data_len,) = r.unpack("<Q", what)
+    data = r.take(data_len, what)
+    (crc,) = r.unpack("<I", what)
     if zlib.crc32(data) != crc:
         raise ArtifactError(f"checksum mismatch in tensor block {name!r}")
+    if (code not in _DTYPES or min(shape, default=0) < 0
+            or data_len != 8 * math.prod(shape)):
+        raise ArtifactError(f"malformed header in tensor block {name!r}")
     arr = np.frombuffer(data, dtype=_DTYPES[code]).reshape(shape)
     return name, arr.astype(arr.dtype.newbyteorder("="))
 
 
+_MANIFEST_KEYS = ("format_version", "config", "vocab_words", "vocab_freqs",
+                  "vocab_sha256", "tensors")
+
+
+def _parse_manifest(blob: bytes) -> dict:
+    try:
+        manifest = json.loads(blob)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise ArtifactError(f"unreadable artifact manifest: {exc}") from None
+    lacking = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if lacking:
+        raise ArtifactError(f"artifact manifest lacks {lacking}")
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise ArtifactError(f"unsupported artifact version {manifest['format_version']}")
+    return manifest
+
+
 def save_artifact(path: str | Path, cfg: RunConfig, vocab: Vocabulary,
                   core, strategy, partition=None):
-    tensors = dict(core.params.arrays())
-    tensors.update(strategy.params())
-    tensors.update(_structure_tensors(partition))
+    tensors = {**model_arrays(core, strategy), **_structure_tensors(partition)}
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": serialize_config(cfg),
@@ -177,17 +221,12 @@ def load_artifact(path: str | Path):
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ArtifactError(f"{path} is not a model artifact")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        tensors = {}
-        while True:
-            block = _read_block(fh)
-            if block is None:
-                break
-            name, arr = block
-            tensors[name] = arr
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ArtifactError(f"unsupported artifact version {manifest.get('format_version')}")
+        r = _Reader(fh)
+        (mlen,) = r.unpack("<I", "the manifest length")
+        manifest = _parse_manifest(r.take(mlen, "the manifest"))
+        tensors = dict(_read_block(r) for _ in manifest["tensors"])
+        if r.left:
+            raise ArtifactError(f"{r.left} bytes follow the last tensor block")
     cfg = parse_config(manifest["config"])
     words = manifest["vocab_words"]
     freqs = np.array(manifest["vocab_freqs"], dtype=np.int64)
@@ -199,9 +238,7 @@ def load_artifact(path: str | Path):
         raise ArtifactError(f"artifact is missing tensor blocks: {sorted(missing)}")
     partition = _rebuild_partition(cfg, tensors)
     core, strategy, partition = build_model(cfg, vocab, partition=partition)
-    arrays = dict(core.params.arrays())
-    arrays.update(strategy.params())
-    for name, arr in arrays.items():
+    for name, arr in model_arrays(core, strategy).items():
         loaded = tensors.get(name)
         if loaded is None:
             raise ArtifactError(f"artifact lacks tensor {name!r}")

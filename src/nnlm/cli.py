@@ -17,8 +17,9 @@ import numpy as np
 
 from . import evaluation, training
 from .artifact import ArtifactError, build_model, load_artifact, save_artifact
-from .caching import CacheConfig
-from .config import ConfigError, RunConfig, load_config, parse_config, serialize_config
+from .caching import DECAY_MODES
+from .config import (EVAL_MODES, ConfigError, RunConfig, load_config,
+                     parse_config, serialize_config)
 from .corpus import build_vocabulary, load_documents, split_corpus
 from .evaluation import reverse_sentences
 
@@ -79,15 +80,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_once(core, strategy, sentences, vocab, cfg: RunConfig, mode: str,
-               cache: CacheConfig | None, carryover: bool, doc_ids):
-    if mode == "dynamic":
-        return training.dynamic_evaluate(core, strategy, sentences, vocab,
-                                         cfg.alpha_dyn, cfg.beta_dyn, cfg.clip)
-    if mode == "reversed":
-        sentences = reverse_sentences(sentences)
-    return evaluation.perplexity(core, strategy, sentences, vocab, cache=cache,
-                                 carryover=carryover, doc_ids=doc_ids)
+# the RunConfig fields ``nnlm eval`` flags of the same dest override; an
+# absent flag keeps the artifact's value
+EVAL_FIELDS = ("eval_mode", "lam", "cache_length", "cache_decay", "gamma",
+               "cache_mode", "alpha_dyn", "beta_dyn")
 
 
 def cmd_eval(args) -> int:
@@ -95,22 +91,24 @@ def cmd_eval(args) -> int:
     docs = load_documents(args.corpus, lowercase=cfg.lowercase)
     sentences = [s for doc in docs for s in doc]
     doc_ids = [i for i, doc in enumerate(docs) for _ in doc]
-    cache = None
-    if args.cache_lambda is not None and args.cache_lambda < 1.0:
-        cache = CacheConfig(lam=args.cache_lambda, length=args.cache_length,
-                            decay=args.cache_decay, gamma=args.gamma,
-                            mode=args.cache_mode)
-    if args.alpha_dyn is not None:
-        cfg.alpha_dyn = args.alpha_dyn
-    if args.beta_dyn is not None:
-        cfg.beta_dyn = args.beta_dyn
-    rep = _eval_once(core, strategy, sentences, vocab, cfg, args.mode, cache,
-                     args.carryover, doc_ids)
+    for name in EVAL_FIELDS:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+    cfg.carryover = cfg.carryover or args.carryover
+    if cfg.eval_mode == "dynamic":
+        rep = training.dynamic_evaluate(core, strategy, sentences, vocab,
+                                        cfg.alpha_dyn, cfg.beta_dyn, cfg.clip)
+    else:
+        if cfg.eval_mode == "reversed":
+            sentences = reverse_sentences(sentences)
+        rep = evaluation.perplexity(core, strategy, sentences, vocab,
+                                    cache=cfg.cache_config(),
+                                    carryover=cfg.carryover, doc_ids=doc_ids)
     out = _provenance(cfg, Path(args.corpus)) + rep.to_tsv()
     if args.out:
         Path(args.out).write_text(out, encoding="utf-8")
     wps = "-" if rep.words_per_s is None else f"{rep.words_per_s:.0f}"
-    print(f"tokens={rep.tokens}  PPL={rep.ppl:.2f}  words/s={wps}  mode={args.mode}")
+    print(f"tokens={rep.tokens}  PPL={rep.ppl:.2f}  words/s={wps}  mode={cfg.eval_mode}")
     return 0
 
 
@@ -164,6 +162,9 @@ def _run_cached(name: str, cfg: RunConfig, args):
               f"{time.perf_counter() - t0:.0f}s")
         save_artifact(artifact, cfg, vocab, core, strategy, partition)
     cfg2, vocab, core, strategy, _ = load_artifact(artifact)
+    if serialize_config(cfg2) != serialize_config(cfg):
+        raise ConfigError(f"{artifact} was trained under another configuration; "
+                          "remove it or choose another --outdir")
     split, doc_ids = _load_split(cfg2)
     test = reverse_sentences(split.test) if cfg2.reverse else split.test
     rep = evaluation.perplexity(core, strategy, test, vocab)
@@ -285,17 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved model on a corpus")
     p.add_argument("artifact")
     p.add_argument("corpus")
-    p.add_argument("--mode", choices=("static", "dynamic", "reversed"),
-                   default="static")
-    p.add_argument("--cache-lambda", type=float, default=None)
-    p.add_argument("--cache-length", type=int, default=100)
-    p.add_argument("--cache-decay", choices=("constant", "linear", "exponential"),
-                   default="constant")
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--cache-mode", choices=("word", "class"), default="word")
+    # every flag defaults to the artifact's eval.* or cache.* key
+    p.add_argument("--mode", choices=EVAL_MODES, dest="eval_mode")
+    p.add_argument("--cache-lambda", type=float, dest="lam")
+    p.add_argument("--cache-length", type=int)
+    p.add_argument("--cache-decay", choices=DECAY_MODES)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--cache-mode", choices=("word", "class"))
     p.add_argument("--carryover", action="store_true")
-    p.add_argument("--alpha-dyn", type=float, default=None)
-    p.add_argument("--beta-dyn", type=float, default=None)
+    p.add_argument("--alpha-dyn", type=float)
+    p.add_argument("--beta-dyn", type=float)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -83,6 +83,15 @@ class RunConfig:
                 raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
         if self.arch == "fnn" and self.n < 2:
             raise ConfigError("model.n must be >= 2 for the feed-forward model")
+        minima = (("model.m", self.m, 1), ("model.n_h", self.n_h, 1),
+                  ("output.classes", self.classes, 0), ("output.levels", self.levels, 1))
+        for key, value, least in minima:
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if self.strategy == "hier" and self.assign != "uniform" and self.levels != 1:
+            raise ConfigError(
+                f"output.levels = {self.levels} needs output.assign = uniform; "
+                f"{self.assign} gives one level of classes")
         if self.mode == "importance" and self.arch != "fnn":
             raise ConfigError("train.mode = importance requires model.arch = fnn")
         if self.mode == "importance" and not (self.strategy == "full" and self.energy):

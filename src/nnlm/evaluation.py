@@ -58,8 +58,7 @@ def _doc_starts(n: int, doc_ids) -> list[bool]:
 
 def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
                cache: caching.CacheConfig | None = None,
-               assignment=None, carryover: bool = False,
-               doc_ids=None) -> EvalReport:
+               carryover: bool = False, doc_ids=None) -> EvalReport:
     """Static evaluation; scoring is side-effect-free on the parameters.
 
     ``cache`` enables unigram/class-cache interpolation; ``carryover``

@@ -3,10 +3,9 @@
 Every core runs a whole sentence forward while recording a tape, then
 backpropagates output-side gradients exactly through every step — no
 truncation.  Output scoring (softmax and its factored variants) lives in
-``output_layer``; the optional score-side weights (``w_out``, ``w_direct``,
-``b_out``) are kept on the parameter objects so a plain full-softmax model
-is self-contained.  The embedding gradient ``emb`` is row-compact (see
-``numerics.Gradients``): it holds one row per distinct input word.
+``output_layer``, which owns every score-side weight; a parameter object
+holds only its core's arrays.  The embedding gradient ``emb`` is row-compact
+(see ``numerics.Gradients``): it holds one row per distinct input word.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ def zero_state(n_h: int, with_cell: bool = False) -> HiddenState:
     return HiddenState(np.zeros(n_h), np.zeros(n_h) if with_cell else None)
 
 
-def _maybe_output(k, n_h, n_i, rng, direct, bias, output):
-    if not output:
-        return None, None, None
-    w_out = init_matrix(k, n_h, rng)
-    w_direct = init_matrix(k, n_i, rng) if direct else None
-    b_out = np.zeros(k) if bias else None
-    return w_out, w_direct, b_out
+def model_arrays(core, strategy) -> Arrays:
+    """Every trainable array of a model by name: the core's, then the
+    output layer's."""
+    return {**core.params.arrays(), **strategy.params()}
 
 
 def _check_indices(indices: np.ndarray, k: int):
@@ -51,7 +47,7 @@ def _zero_grads(p) -> Gradients:
     """Zero gradients for every core array but ``emb``, which the backward
     pass stores row-compact."""
     return Gradients({name: np.zeros_like(a)
-                      for name, a in p.core_arrays().items() if name != "emb"})
+                      for name, a in p.arrays().items() if name != "emb"})
 
 
 # ---------------------------------------------------------------------------
@@ -66,24 +62,16 @@ class FnnParameters:
     w_in: np.ndarray                    # n_h x (m * (n - 1))
     n: int
     b_in: np.ndarray | None = None
-    w_out: np.ndarray | None = None     # k x n_h
-    w_direct: np.ndarray | None = None  # k x (m * (n - 1))
-    b_out: np.ndarray | None = None
 
     @classmethod
-    def create(cls, k, m, n_h, n, rng, direct=False, bias=False, output=True):
+    def create(cls, k, m, n_h, n, rng, bias=False):
         if n < 2:
             raise ValueError(f"context order n must be >= 2, got {n}")
-        n_i = m * (n - 1)
-        w_out, w_direct, b_out = _maybe_output(k, n_h, n_i, rng, direct, bias, output)
         return cls(
             emb=init_matrix(k, m, rng),
-            w_in=init_matrix(n_h, n_i, rng),
+            w_in=init_matrix(n_h, m * (n - 1), rng),
             n=n,
             b_in=np.zeros(n_h) if bias else None,
-            w_out=w_out,
-            w_direct=w_direct,
-            b_out=b_out,
         )
 
     @property
@@ -98,18 +86,10 @@ class FnnParameters:
     def n_h(self):
         return self.w_in.shape[0]
 
-    def core_arrays(self) -> Arrays:
+    def arrays(self) -> Arrays:
         out = {"emb": self.emb, "w_in": self.w_in}
         if self.b_in is not None:
             out["b_in"] = self.b_in
-        return out
-
-    def arrays(self) -> Arrays:
-        out = self.core_arrays()
-        for name in ("w_out", "w_direct", "b_out"):
-            a = getattr(self, name)
-            if a is not None:
-                out[name] = a
         return out
 
 
@@ -190,21 +170,14 @@ class RnnParameters:
     w_in: np.ndarray                # n_h x m
     w_rec: np.ndarray               # n_h x n_h
     b_in: np.ndarray | None = None
-    w_out: np.ndarray | None = None
-    w_direct: np.ndarray | None = None
-    b_out: np.ndarray | None = None
 
     @classmethod
-    def create(cls, k, m, n_h, rng, direct=False, bias=False, output=True):
-        w_out, w_direct, b_out = _maybe_output(k, n_h, m, rng, direct, bias, output)
+    def create(cls, k, m, n_h, rng, bias=False):
         return cls(
             emb=init_matrix(k, m, rng),
             w_in=init_matrix(n_h, m, rng),
             w_rec=init_matrix(n_h, n_h, rng),
             b_in=np.zeros(n_h) if bias else None,
-            w_out=w_out,
-            w_direct=w_direct,
-            b_out=b_out,
         )
 
     @property
@@ -215,18 +188,10 @@ class RnnParameters:
     def n_h(self):
         return self.w_rec.shape[0]
 
-    def core_arrays(self) -> Arrays:
+    def arrays(self) -> Arrays:
         out = {"emb": self.emb, "w_in": self.w_in, "w_rec": self.w_rec}
         if self.b_in is not None:
             out["b_in"] = self.b_in
-        return out
-
-    def arrays(self) -> Arrays:
-        out = self.core_arrays()
-        for name in ("w_out", "w_direct", "b_out"):
-            a = getattr(self, name)
-            if a is not None:
-                out[name] = a
         return out
 
 
@@ -312,13 +277,9 @@ class LstmParameters:
     w_peep: np.ndarray | None = None    # 3n_h x n_h, reads c_prev
     w_co: np.ndarray | None = None      # n_h x n_h, reads c
     b: np.ndarray | None = None         # 4n_h
-    w_out: np.ndarray | None = None
-    w_direct: np.ndarray | None = None
-    b_out: np.ndarray | None = None
 
     @classmethod
-    def create(cls, k, m, n_h, rng, direct=False, bias=False, peepholes=True,
-               output=True):
+    def create(cls, k, m, n_h, rng, bias=False, peepholes=True):
         emb = init_matrix(k, m, rng)
         w_x, w_h = np.empty((4 * n_h, m)), np.empty((4 * n_h, n_h))
         peep = np.empty((4 * n_h, n_h)) if peepholes else None
@@ -331,12 +292,10 @@ class LstmParameters:
             w_h[rows] = init_matrix(n_h, n_h, rng)
             if peepholes:
                 peep[rows] = init_matrix(n_h, n_h, rng)
-        w_out, w_direct, b_out = _maybe_output(k, n_h, m, rng, direct, bias, output)
         return cls(emb=emb, w_x=w_x, w_h=w_h,
                    w_peep=peep[:3 * n_h] if peepholes else None,
                    w_co=peep[3 * n_h:] if peepholes else None,
-                   b=np.zeros(4 * n_h) if bias else None,
-                   w_out=w_out, w_direct=w_direct, b_out=b_out)
+                   b=np.zeros(4 * n_h) if bias else None)
 
     @property
     def k(self):
@@ -346,17 +305,9 @@ class LstmParameters:
     def n_h(self):
         return self.w_h.shape[1]
 
-    def core_arrays(self) -> Arrays:
+    def arrays(self) -> Arrays:
         out = {"emb": self.emb, "w_x": self.w_x, "w_h": self.w_h}
         for name in ("w_peep", "w_co", "b"):
-            a = getattr(self, name)
-            if a is not None:
-                out[name] = a
-        return out
-
-    def arrays(self) -> Arrays:
-        out = self.core_arrays()
-        for name in ("w_out", "w_direct", "b_out"):
             a = getattr(self, name)
             if a is not None:
                 out[name] = a
@@ -475,31 +426,3 @@ class LstmCore:
         gr.set_rows("emb", rows, d_emb)
         return gr
 
-
-# ---------------------------------------------------------------------------
-
-def make_core(params):
-    if isinstance(params, FnnParameters):
-        return FnnCore(params)
-    if isinstance(params, RnnParameters):
-        return RnnCore(params)
-    if isinstance(params, LstmParameters):
-        return LstmCore(params)
-    raise TypeError(f"unknown parameter type {type(params).__name__}")
-
-
-def birnn_encode(forward_params, backward_params, sentence) -> np.ndarray:
-    """Concatenation of the final forward state and the final backward state.
-
-    Pure sequence encoder: no probabilities come out of this.
-    """
-    sentence = np.asarray(sentence, dtype=np.int64)
-    if len(sentence) == 0:
-        raise ValueError("cannot encode an empty sentence")
-    fwd = make_core(forward_params)
-    bwd = make_core(backward_params)
-    if forward_params.n_h != backward_params.n_h:
-        raise ValueError("forward and backward cores must share the hidden size")
-    sf = fwd.run(sentence).final_state.s
-    sb = bwd.run(sentence[::-1]).final_state.s
-    return np.concatenate([sf, sb])

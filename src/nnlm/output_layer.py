@@ -52,13 +52,6 @@ class ClassAssignment:
     def k(self) -> int:
         return len(self.order)
 
-    def members(self, c: int) -> np.ndarray:
-        return self.order[self.bounds[c]: self.bounds[c + 1]]
-
-    def to_tsv(self) -> str:
-        lines = [f"{w}\t{c}" for w, c in enumerate(self.class_of)]
-        return "\n".join(lines) + "\n"
-
 
 def default_num_classes(k: int) -> int:
     """sqrt(k) balances the class and word softmax factors."""
@@ -167,15 +160,6 @@ class HierarchicalCode:
     def group_counts(self) -> list[int]:
         return [len(b) - 1 for b in self.levels]
 
-    def code_of(self, word: int) -> tuple[int, ...]:
-        """Per-level branch index of the word under its parent node."""
-        code = [int(self.group_of[0][word])]
-        for j in range(1, self.depth):
-            g = self.group_of[j][word]
-            parent = self.group_of[j - 1][word]
-            code.append(int(g - self.child_lo[j - 1][parent]))
-        return tuple(code)
-
 
 def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = None
                              ) -> HierarchicalCode:
@@ -215,7 +199,12 @@ def hierarchy_from_classes(assignment: ClassAssignment) -> HierarchicalCode:
 # ---------------------------------------------------------------------------
 
 class FullSoftmax:
-    """Softmax over all k scores; ``energy=True`` uses e^{-y} normalization."""
+    """Softmax over all k scores; ``energy=True`` uses e^{-y} normalization.
+
+    ``w_out`` scores the hidden state; the optional ``w_direct`` scores the
+    core's input (the embeddings, concatenated for the FNN) and ``b_out`` is
+    the score bias.
+    """
 
     def __init__(self, w_out, w_direct=None, b_out=None, energy=False):
         self.w_out = w_out
@@ -232,12 +221,6 @@ class FullSoftmax:
             np.zeros(k) if bias else None,
             energy=energy,
         )
-
-    @classmethod
-    def for_model(cls, params, energy=False):
-        if params.w_out is None:
-            raise ValueError("model parameters carry no output weights")
-        return cls(params.w_out, params.w_direct, params.b_out, energy=energy)
 
     @property
     def k(self):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import CorpusSplit, Vocabulary
-from .models import FnnCore, _fnn_hidden
+from .models import FnnCore, _fnn_hidden, model_arrays
 from .numerics import make_rng, softmax
 from .output_layer import FullSoftmax
 
@@ -120,12 +120,6 @@ def sentence_gradients(core, strategy, enc: np.ndarray):
     return logps.tolist(), grads
 
 
-def _merged_arrays(core, strategy) -> Arrays:
-    out = dict(core.params.core_arrays())
-    out.update(strategy.params())
-    return out
-
-
 def train_epoch(core, strategy, train_sentences, valid_sentences,
                 vocab: Vocabulary, config: TrainingConfig, rng,
                 alpha: float, epoch: int = 1,
@@ -133,7 +127,7 @@ def train_epoch(core, strategy, train_sentences, valid_sentences,
     """One shuffled pass with per-sentence update, then validation PPL."""
     if not train_sentences:
         raise ValueError("cannot train on an empty sentence list")
-    arrays = _merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     order = rng.permutation(len(train_sentences))
     total_nll, tokens, clip_events = 0.0, 0, 0
     t0 = time.perf_counter()
@@ -378,7 +372,7 @@ def dynamic_evaluate(core, strategy, sentences, vocab: Vocabulary,
     if not sentences:
         raise ValueError("cannot evaluate an empty sentence list")
     adapt = alpha_dyn != 0.0 or beta_dyn != 0.0
-    arrays = _merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     sent_log2: list[float] = []
     tokens = 0
     t0 = time.perf_counter()

@@ -12,7 +12,7 @@ import numpy as np
 
 from nnlm.models import (FnnCore, FnnParameters, FnnTape, HiddenState,
                          LstmCore, LstmParameters, RnnCore, RnnParameters,
-                         _check_indices, _fnn_hidden)
+                         _check_indices, _fnn_hidden, model_arrays)
 from nnlm.numerics import (Gradients, log_softmax, make_rng, sigmoid,
                            sigmoid_deriv, tanh_deriv)
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalSoftmax,
@@ -24,36 +24,33 @@ K, M, NH = 12, 5, 7
 
 def make_model(arch, strategy_kind="full", seed=0, direct=False, bias=False,
                peepholes=True, energy=False, k=K, m=M, n_h=NH, n=3):
+    """(core, strategy) drawn from ``seed`` in the order ``build_model``
+    draws them: a full softmax before the FNN and RNN cores, after the
+    LSTM core; a class or hierarchical layer after any core."""
     rng = make_rng(seed)
-    full = strategy_kind == "full"
+    n_i = m * (n - 1) if arch == "fnn" else m
+
+    def full_softmax():
+        return FullSoftmax.create(k, n_h, rng, n_i, direct, bias, energy)
+
+    strategy = full_softmax() if strategy_kind == "full" and arch != "lstm" else None
     if arch == "fnn":
-        params = FnnParameters.create(k, m, n_h, n, rng, direct=direct,
-                                      bias=bias, output=full)
-        core = FnnCore(params)
+        core = FnnCore(FnnParameters.create(k, m, n_h, n, rng, bias=bias))
     elif arch == "rnn":
-        params = RnnParameters.create(k, m, n_h, rng, direct=direct,
-                                      bias=bias, output=full)
-        core = RnnCore(params)
+        core = RnnCore(RnnParameters.create(k, m, n_h, rng, bias=bias))
     else:
-        params = LstmParameters.create(k, m, n_h, rng, direct=direct,
-                                       bias=bias, peepholes=peepholes,
-                                       output=full)
-        core = LstmCore(params)
-    if full:
-        strategy = FullSoftmax.for_model(params, energy=energy)
-    elif strategy_kind == "class":
-        strategy = ClassSoftmax.create(assign_uniform_random(k, 4, rng),
-                                       n_h, rng, bias=bias)
-    else:
-        strategy = HierarchicalSoftmax.create(
-            hierarchy_uniform_random(k, 2, rng), n_h, rng, bias=bias)
+        core = LstmCore(LstmParameters.create(k, m, n_h, rng, bias=bias,
+                                              peepholes=peepholes))
+    if strategy is None:
+        if strategy_kind == "full":
+            strategy = full_softmax()
+        elif strategy_kind == "class":
+            strategy = ClassSoftmax.create(assign_uniform_random(k, 4, rng),
+                                           n_h, rng, bias=bias)
+        else:
+            strategy = HierarchicalSoftmax.create(
+                hierarchy_uniform_random(k, 2, rng), n_h, rng, bias=bias)
     return core, strategy
-
-
-def merged_arrays(core, strategy):
-    out = dict(core.params.core_arrays())
-    out.update(strategy.params())
-    return out
 
 
 def dense(grads, arrays):
@@ -76,7 +73,7 @@ def dense_reference_epoch(core, strategy, sentences, vocab, config, rng,
     every gradient expanded to its parameter's shape, every matrix decayed
     and every row updated.  It draws from ``rng`` in the same order, so it
     follows the same trajectory."""
-    arrays = merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     for idx in rng.permutation(len(sentences)):
         enc = vocab.encode(sentences[idx])
         if config.mode == "importance":
@@ -136,7 +133,7 @@ def check_model_gradients(arch, strategy_kind="full", seed=0, **toggles):
     rng = make_rng(seed + 100)
     enc = rng.integers(0, K, size=5)      # four scored positions
     _, grads = sentence_gradients(core, strategy, enc)
-    arrays = merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     analytic = dense(grads, arrays)
     numeric = numeric_grads(arrays, lambda: sentence_nll(core, strategy, enc))
     assert_grads_close(analytic, numeric)
@@ -286,34 +283,22 @@ def sigmoid_reference(x):
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def output_scores(params, s, x):
-    """Full-softmax scores of state ``s`` (and input ``x``) under the
-    score-side weights kept on a parameter object."""
-    if params.w_out is None:
-        raise ValueError("model was built without output weights")
-    y = params.w_out @ s
-    if params.w_direct is not None:
-        y = y + params.w_direct @ x
-    if params.b_out is not None:
-        y = y + params.b_out
-    return y
-
-
-def fnn_forward(params: FnnParameters, context) -> np.ndarray:
+def fnn_forward(core: FnnCore, strategy: FullSoftmax, context) -> np.ndarray:
     """Score vector over the vocabulary for one (n-1)-word context."""
+    p = core.params
     context = np.asarray(context, dtype=np.int64)
-    if len(context) != params.n - 1:
-        raise ValueError(f"context length {len(context)} != n-1 = {params.n - 1}")
-    _check_indices(context, params.k)
-    x, h = _fnn_hidden(params, context)
-    return output_scores(params, h, x)
+    if len(context) != p.n - 1:
+        raise ValueError(f"context length {len(context)} != n-1 = {p.n - 1}")
+    _check_indices(context, p.k)
+    x, h = _fnn_hidden(p, context)
+    return strategy.scores(h, x)
 
 
-def rnn_step(params: RnnParameters, word: int, prev: HiddenState):
+def rnn_step(core: RnnCore, strategy: FullSoftmax, word: int, prev: HiddenState):
     """(score vector, new state) for one word given the previous state."""
-    tape = RnnCore(params).run([word], h0=prev)
+    tape = core.run([word], h0=prev)
     s = tape.states[0]
-    return output_scores(params, s, tape.xs[0]), HiddenState(s.copy())
+    return strategy.scores(s, tape.xs[0]), HiddenState(s.copy())
 
 
 def fnn_reference(p: FnnParameters, inputs, d_states, d_inputs=None):

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from helpers import (GRADIENT_CONFIGS, check_model_gradients, dense,
-                     example_gradient, fnn_forward, merged_arrays, rnn_step)
+                     example_gradient, fnn_forward, make_model, rnn_step)
 from nnlm.caching import CacheConfig, WordCache, cache_distribution
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
-from nnlm.models import (FnnCore, FnnParameters, RnnCore, RnnParameters,
-                         zero_state)
+from nnlm.models import RnnCore, RnnParameters, model_arrays, zero_state
 from nnlm.numerics import make_rng
 from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
                                HierarchicalSoftmax, assign_uniform_random,
@@ -118,19 +117,21 @@ def test_criterion_03_equivalence_oracles():
                                - cls.logprob(state, None, t)))
 
     # recurrent model with zero recurrence == 2-gram feed-forward model
-    rp = RnnParameters.create(k, m, n_h, make_rng(2))
-    rp.w_rec[:] = 0.0
-    fp = FnnParameters.create(k, m, n_h, 2, make_rng(3))
-    fp.emb[:], fp.w_in[:], fp.w_out[:] = rp.emb, rp.w_in, rp.w_out
+    rnn = make_model("rnn", seed=2, k=k, m=m, n_h=n_h)
+    rnn[0].params.w_rec[:] = 0.0
+    fnn = make_model("fnn", seed=3, k=k, m=m, n_h=n_h, n=2)
+    fnn[0].params.emb[:] = rnn[0].params.emb
+    fnn[0].params.w_in[:] = rnn[0].params.w_in
+    fnn[1].w_out[:] = rnn[1].w_out
     st = zero_state(n_h)
     for word in (3, 1, 4, 1, 5):
-        y_r, st = rnn_step(rp, word, st)
-        worst = max(worst, float(np.abs(y_r - fnn_forward(fp, [word])).max()))
+        y_r, st = rnn_step(*rnn, word, st)
+        worst = max(worst, float(np.abs(y_r - fnn_forward(*fnn, [word])).max()))
 
     # class cache over singleton classes == word cache
     sents = [["a", "b", "a", "b", "c"], ["c", "a"]]
     vocab = build_vocabulary(sents)
-    p = RnnParameters.create(vocab.size, m, n_h, make_rng(4), output=False)
+    p = RnnParameters.create(vocab.size, m, n_h, make_rng(4))
     singles = ClassAssignment(make_rng(5).permutation(vocab.size),
                               np.arange(vocab.size + 1))
     strat = ClassSoftmax.create(singles, n_h, make_rng(6))
@@ -145,9 +146,7 @@ def test_criterion_03_equivalence_oracles():
 
 def test_criterion_04_importance_sampling():
     k = 20
-    params = FnnParameters.create(k, 4, 5, 3, make_rng(7))
-    core = FnnCore(params)
-    strategy = FullSoftmax.for_model(params, energy=True)
+    core, strategy = make_model("fnn", seed=7, energy=True, k=k, m=4, n_h=5, n=3)
     vocab_freqs = make_rng(8).integers(1, 200, size=k)
     proposal = ProposalDistribution(vocab_freqs.astype(float) + 1.0)
     ctx, target = np.array([3, 9]), 11
@@ -155,7 +154,7 @@ def test_criterion_04_importance_sampling():
     estimate, info = importance_sampling_gradient(core, strategy, ctx, target,
                                                   proposal, make_rng(0), exact_cfg)
     assert info.exact
-    arrays = merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     exact = dense(example_gradient(core, strategy, ctx, *estimate), arrays)
     den = sum(float(np.sum(g * g)) for g in exact.values())
 
@@ -203,7 +202,7 @@ def test_criterion_06_class_factorization():
     enc = [vocab.encode(s) for s in sents]
 
     def words_per_s(core, strategy):
-        arrays = merged_arrays(core, strategy)
+        arrays = model_arrays(core, strategy)
         tokens, t0 = 0, time.perf_counter()
         for e in enc:
             logps, grads = sentence_gradients(core, strategy, e)
@@ -211,9 +210,10 @@ def test_criterion_06_class_factorization():
             tokens += len(logps)
         return tokens / (time.perf_counter() - t0)
 
+    full = FullSoftmax.create(vocab.size, n_h, rng)
     fp = RnnParameters.create(vocab.size, m, n_h, rng)
-    full_wps = words_per_s(RnnCore(fp), FullSoftmax.for_model(fp))
-    cp = RnnParameters.create(vocab.size, m, n_h, rng, output=False)
+    full_wps = words_per_s(RnnCore(fp), full)
+    cp = RnnParameters.create(vocab.size, m, n_h, rng)
     cls = ClassSoftmax.create(assign_uniform_random(vocab.size, 123, rng),
                               n_h, rng)
     class_wps = words_per_s(RnnCore(cp), cls)
@@ -249,8 +249,8 @@ def _repetitive_setup():
               ["press", "the", "green", "button"]] * 6
              + [["the", "manual", "explains", "the", "button"]] * 4)
     vocab = build_vocabulary(sents)
-    p = RnnParameters.create(vocab.size, 8, 12, make_rng(11))
-    return RnnCore(p), FullSoftmax.for_model(p), vocab, sents
+    return (*make_model("rnn", seed=11, k=vocab.size, m=8, n_h=12), vocab,
+            sents)
 
 
 def test_criterion_08_caching():
@@ -346,8 +346,7 @@ def test_criterion_10_cross_domain():
                  f"domain_a.txt/domain_b.txt under ${CORPUS_ROOT_ENV}")
 
     def fit(train_sents):
-        p = RnnParameters.create(vocab.size, m, n_h, make_rng(17))
-        core, strategy = RnnCore(p), FullSoftmax.for_model(p)
+        core, strategy = make_model("rnn", seed=17, k=vocab.size, m=m, n_h=n_h)
         valid = train_sents[: max(4, len(train_sents) // 50)]
         train(core, strategy, CorpusSplit(train_sents, valid, []), vocab, cfg)
         return core, strategy

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from nnlm.cli import main
 from nnlm.config import (ConfigError, RunConfig, parse_config,
                          serialize_config)
 from nnlm.corpus import build_vocabulary
+from nnlm.models import model_arrays
 
 
 TEXT = """the cat sat on the mat
@@ -87,6 +90,14 @@ class TestConfigFormat:
         assert isinstance(cfg.peepholes, bool)
 
 
+# header corruptions a length check cannot see -> the error they must raise
+CORRUPT_HEADERS = {
+    "manifest-not-json": "unreadable artifact manifest",
+    "manifest-without-tensors": r"manifest lacks \['tensors'\]",
+    "unknown-dtype-code": "malformed header in tensor block",
+}
+
+
 class TestArtifact:
     def _build(self, corpus, **overrides):
         cfg = small_config(corpus, **overrides)
@@ -101,8 +112,9 @@ class TestArtifact:
         cfg2, vocab2, core2, strategy2, _ = load_artifact(path)
         assert vocab2.words == vocab.words
         assert serialize_config(cfg2) == serialize_config(cfg)
-        for name, arr in core.params.arrays().items():
-            np.testing.assert_array_equal(core2.params.arrays()[name], arr)
+        loaded = model_arrays(core2, strategy2)
+        for name, arr in model_arrays(core, strategy).items():
+            np.testing.assert_array_equal(loaded[name], arr)
 
     def test_save_load_save_is_byte_identical(self, corpus, tmp_path):
         cfg, vocab, core, strategy, partition = self._build(corpus,
@@ -136,6 +148,44 @@ class TestArtifact:
         with pytest.raises(ArtifactError, match="checksum"):
             load_artifact(path)
 
+    def test_every_truncation_and_a_trailing_byte_rejected(self, corpus,
+                                                           tmp_path):
+        """Cut anywhere (in the magic, a length field, the manifest or a
+        tensor block) or padded by one byte, a class-RNN artifact fails to
+        load with ArtifactError and nothing else."""
+        cfg, vocab, core, strategy, partition = self._build(
+            corpus, strategy="class", bias=True, m=3, n_h=4, seed=7)
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, core, strategy, partition)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.nnlm"
+        for variant in [blob[:n] for n in range(len(blob))] + [blob + b"\0"]:
+            bad.write_bytes(variant)
+            with pytest.raises(ArtifactError):
+                load_artifact(bad)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_HEADERS))
+    def test_corrupt_header_rejected(self, case, corpus, tmp_path):
+        cfg, vocab, core, strategy, partition = self._build(corpus)
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, core, strategy, partition)
+        blob = path.read_bytes()
+        (mlen,) = struct.unpack("<I", blob[8:12])
+        manifest, rest = blob[12:12 + mlen], blob[12 + mlen:]
+        if case == "manifest-not-json":
+            manifest = b"[" + manifest[1:]
+        elif case == "manifest-without-tensors":
+            fields = json.loads(manifest)
+            del fields["tensors"]
+            manifest = json.dumps(fields).encode()
+        else:   # the byte after the first block's name is its dtype code
+            (name_len,) = struct.unpack("<H", rest[:2])
+            rest = rest[:2 + name_len] + b"\x09" + rest[3 + name_len:]
+        path.write_bytes(blob[:8] + struct.pack("<I", len(manifest)) + manifest
+                         + rest)
+        with pytest.raises(ArtifactError, match=CORRUPT_HEADERS[case]):
+            load_artifact(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.nnlm"
         path.write_bytes(b"NOTANART" + b"\x00" * 32)
@@ -162,12 +212,22 @@ def save_per_gate_lstm(path, corpus):
 
 # sha256 of artifacts from build_model at seed 7 with m=3, n_h=4 on the
 # vocabulary of [["a", "b", "c"], ["b", "c", "d", "e"]]: the bytes that
-# FNN and RNN models have always been saved as.
+# models of every arch have always been saved as, which pins the order in
+# which a seed's draws fill the core and output-layer weights.
 PINNED_ARTIFACTS = {
     "fnn-full": (dict(arch="fnn", strategy="full", direct=True, bias=True),
                  "355b90c425a1f47b8f0ecc2b9c236a71bfa8062c2ba985e0d369e59411d222b7"),
     "rnn-class": (dict(arch="rnn", strategy="class", bias=True),
                   "ce5cd093a3b7e0714f254318a636556d7a87f7d077ec033833540a5322cceaa8"),
+    "rnn-full": (dict(arch="rnn", strategy="full", direct=True, bias=True),
+                 "64969eff7b564c084810233a3e118e57e83f160c7a3a5adb96b350539c5be7ab"),
+    "lstm-full": (dict(arch="lstm", strategy="full", direct=True, bias=True),
+                  "a64dcd4652bebc3edd437005baf0baf2274e28e89d552d905d47c47bf20122d6"),
+    "lstm-hier": (dict(arch="lstm", strategy="hier", bias=True, levels=2,
+                       assign="uniform"),
+                  "9fc2e3264c86b7bbee54331b4cfa615614a97e81cbd90501a21c391858b16243"),
+    "fnn-class": (dict(arch="fnn", strategy="class", bias=False),
+                  "232f1453d863ffb00a93af962d0598ff48e8f79321d671fa3697e9744167b23f"),
 }
 
 
@@ -249,6 +309,30 @@ class TestCliTrainEval:
         # words/s differs between runs; compare the PPL field
         assert static.split("PPL=")[1].split()[0] == dynamic.split("PPL=")[1].split()[0]
 
+    @pytest.mark.parametrize("setting,flags", [
+        (dict(lam=0.9), ["--cache-lambda", "0.9"]),
+        (dict(eval_mode="reversed"), ["--mode", "reversed"]),
+        (dict(carryover=True), ["--carryover"]),
+    ], ids=["cache.lambda", "eval.mode", "cache.carryover"])
+    def test_eval_defaults_to_artifact_settings(self, setting, flags, corpus,
+                                                tmp_path):
+        """With no flags, ``nnlm eval`` scores as the artifact's eval.* and
+        cache.* keys say: as the matching flags do on the same weights saved
+        under the default keys, and unlike those weights without flags."""
+        outdir = self._train(corpus, tmp_path, **setting)
+        cfg, vocab, core, strategy, partition = load_artifact(outdir / "model.nnlm")
+        plain = tmp_path / "plain.nnlm"
+        save_artifact(plain, small_config(corpus), vocab, core, strategy, partition)
+        report = tmp_path / "report.tsv"
+
+        def log2_total(artifact, *extra):
+            assert run_cli("eval", artifact, corpus, "--out", report, *extra) == 0
+            return report.read_text().splitlines()[-1].split("\t")[1]
+
+        default = log2_total(outdir / "model.nnlm")
+        assert default == log2_total(plain, *flags)
+        assert default != log2_total(plain)
+
     def test_reversed_mode_runs(self, corpus, tmp_path, capsys):
         outdir = self._train(corpus, tmp_path, reverse=True)
         assert run_cli("eval", outdir / "model.nnlm", corpus,
@@ -266,11 +350,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("setting", [
         "train.clip = -5", "train.clip = 0", "train.min_ess = nan",
         "train.alpha = 0", "train.max_samples = 0",
+        "model.m = 0", "model.n_h = 0", "output.classes = -3",
+        "output.levels = 0",
+        "output.strategy = hier\noutput.assign = freq\noutput.levels = 3",
     ])
     def test_nonsense_training_setting_exits_2(self, setting, tmp_path,
                                                capsys):
         """Rejected with the configuration, before the corpus is read: the
-        corpus named here does not exist, which would otherwise exit 1."""
+        corpus named here does not exist, which would otherwise exit 1.
+        The message names the last key set."""
         cfg = small_config(tmp_path / "no-such-corpus.txt")
         cfg_path = tmp_path / "bad.cfg"
         # a later line overrides an earlier one
@@ -280,8 +368,47 @@ class TestExitCodes:
                        "--quiet") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("configuration error: train: ")
+        key = setting.splitlines()[-1].split(" =")[0]
+        named = "train: " if key.startswith("train.") else key
+        assert err.startswith(f"configuration error: {named}")
         assert not (tmp_path / "out").exists()
+
+    def test_more_classes_than_words_exits_2(self, corpus, tmp_path, capsys):
+        cfg = small_config(corpus, strategy="class", classes=500)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: output.classes = 500 ")
+
+    def test_truncated_artifact_exits_1(self, corpus, tmp_path, capsys):
+        cfg = small_config(corpus)
+        vocab = build_vocabulary([["a", "b", "c"]])
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, *build_model(cfg, vocab))
+        path.write_bytes(path.read_bytes()[:-3])
+        assert run_cli("eval", path, corpus) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: artifact is truncated")
+
+    def test_stale_reproduce_artifact_exits_2(self, tmp_path, capsys):
+        """A reproduce run reuses a model it trained before only under the
+        same configuration; under another it stops and names the file."""
+        root = tmp_path / "corpora"
+        root.mkdir()
+        (root / "brown.txt").write_text(TEXT * 4, encoding="utf-8")
+        args = ["reproduce", "3", "--corpus-root", root, "--outdir",
+                tmp_path / "rep", "--n-h", 4, "--n-train", 40, "--n-valid", 10,
+                "--max-epochs", 1]
+        assert run_cli(*args, "--m", 3) in (0, 3)
+        capsys.readouterr()
+        assert run_cli(*args, "--m", 7) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(tmp_path / "rep" / "baseline" / "model.nnlm") in err
 
     def test_missing_artifact_exits_1(self, corpus, tmp_path, capsys):
         assert run_cli("eval", tmp_path / "missing.nnlm", corpus) == 1

@@ -8,9 +8,8 @@ from nnlm.caching import CacheConfig
 from nnlm.corpus import build_vocabulary
 from nnlm.evaluation import (EvalReport, perplexity, report_from_log2,
                              reverse_sentences)
-from nnlm.models import RnnCore, RnnParameters
+from nnlm.models import RnnCore, RnnParameters, model_arrays
 from nnlm.numerics import make_rng
-from nnlm.output_layer import FullSoftmax
 
 
 def tiny_vocab(sentences=None):
@@ -19,10 +18,10 @@ def tiny_vocab(sentences=None):
 
 def uniform_model(vocab, n_h=4):
     """All-zero parameters: every score is 0, every word gets probability 1/k."""
-    p = RnnParameters.create(vocab.size, 3, n_h, make_rng(0))
-    for a in p.arrays().values():
+    core, strategy = make_model("rnn", seed=0, k=vocab.size, m=3, n_h=n_h)
+    for a in model_arrays(core, strategy).values():
         a[:] = 0.0
-    return RnnCore(p), FullSoftmax.for_model(p)
+    return core, strategy
 
 
 class TestPerplexityOracles:
@@ -44,14 +43,14 @@ class TestPerplexityOracles:
         sents = [["a", "b", "c"]] * 3
         vocab = build_vocabulary(sents)
         k = vocab.size
-        p = RnnParameters.create(k, k, 4, make_rng(1), direct=True)
-        for a in p.arrays().values():
+        core, strategy = make_model("rnn", seed=1, direct=True, k=k, m=k, n_h=4)
+        for a in model_arrays(core, strategy).values():
             a[:] = 0.0
-        p.emb[:] = np.eye(k)
+        core.params.emb[:] = np.eye(k)
         chain = [vocab.start] + vocab.encode(["a", "b", "c"]).tolist()[1:]
         for cur, nxt in zip(chain[:-1], chain[1:]):
-            p.w_direct[nxt, cur] = 50.0
-        rep = perplexity(RnnCore(p), FullSoftmax.for_model(p), sents, vocab)
+            strategy.w_direct[nxt, cur] = 50.0
+        rep = perplexity(core, strategy, sents, vocab)
         assert rep.ppl < 1.001
 
     def test_matches_exponent_tracked_probability_product(self):
@@ -77,9 +76,9 @@ class TestPerplexityOracles:
 
     def test_scoring_leaves_parameters_untouched(self):
         core, strategy = make_model("lstm", seed=4)
-        before = {n: a.copy() for n, a in core.params.arrays().items()}
+        before = {n: a.copy() for n, a in model_arrays(core, strategy).items()}
         perplexity(core, strategy, [["a", "b"]], tiny_vocab())
-        for n, a in core.params.arrays().items():
+        for n, a in model_arrays(core, strategy).items():
             np.testing.assert_array_equal(a, before[n])
 
 
@@ -126,7 +125,7 @@ class TestCacheInterpolation:
         vocab = tiny_vocab()
         k = vocab.size
         rng = make_rng(6)
-        p = RnnParameters.create(k, 3, 5, rng, output=False)
+        p = RnnParameters.create(k, 3, 5, rng)
         core = RnnCore(p)
         singles = ClassAssignment(rng.permutation(k), np.arange(k + 1))
         strategy = ClassSoftmax.create(singles, 5, rng)

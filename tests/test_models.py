@@ -4,10 +4,8 @@ import pytest
 from helpers import (LSTM_GATES, fnn_forward, fnn_reference,
                      lstm_gate_matrices, lstm_reference, make_model, rnn_step)
 from nnlm.models import (FnnCore, FnnParameters, HiddenState, LstmCore,
-                         LstmParameters, RnnCore, RnnParameters, birnn_encode,
-                         make_core, zero_state)
+                         LstmParameters, RnnCore, RnnParameters, zero_state)
 from nnlm.numerics import init_matrix, make_rng, sigmoid, softmax
-from nnlm.output_layer import FullSoftmax
 
 K, M, NH = 9, 4, 6
 
@@ -21,20 +19,25 @@ def rand_params(arch, seed=0, **kw):
     return LstmParameters.create(K, M, NH, rng, **kw)
 
 
+def rand_model(arch, seed=0, **kw):
+    """(core, full softmax) at this file's sizes."""
+    return make_model(arch, seed=seed, k=K, m=M, n_h=NH, **kw)
+
+
 class TestFnnForward:
     def test_matches_straight_line_evaluation(self):
-        p = rand_params("fnn", direct=True, bias=True)
+        core, out = rand_model("fnn", direct=True, bias=True)
+        p = core.params
         ctx = np.array([2, 5])
-        y = fnn_forward(p, ctx)
+        y = fnn_forward(core, out, ctx)
         x = np.concatenate([p.emb[2], p.emb[5]])
         h = np.tanh(p.w_in @ x + p.b_in)
-        expect = p.w_out @ h + p.w_direct @ x + p.b_out
+        expect = out.w_out @ h + out.w_direct @ x + out.b_out
         np.testing.assert_allclose(y, expect, atol=1e-12)
 
     def test_wrong_context_length_rejected(self):
-        p = rand_params("fnn", n=4)
         with pytest.raises(ValueError, match="3"):
-            fnn_forward(p, [1, 2])
+            fnn_forward(*rand_model("fnn", n=4), [1, 2])
 
     def test_run_pads_with_first_token(self):
         p = rand_params("fnn", n=3)
@@ -98,36 +101,36 @@ class TestFnnCoreGemm:
 
 class TestRnn:
     def test_step_matches_straight_line(self):
-        p = rand_params("rnn", bias=True)
+        core, out = rand_model("rnn", bias=True)
+        p = core.params
         prev = HiddenState(make_rng(1).normal(size=NH))
-        y, new = rnn_step(p, 3, prev)
+        y, new = rnn_step(core, out, 3, prev)
         s = np.tanh(p.w_in @ p.emb[3] + p.w_rec @ prev.s + p.b_in)
         np.testing.assert_allclose(new.s, s, atol=1e-12)
-        np.testing.assert_allclose(y, p.w_out @ s, atol=1e-12)
+        np.testing.assert_allclose(y, out.w_out @ s, atol=1e-12)
 
     def test_run_chains_steps(self):
-        p = rand_params("rnn")
-        core = RnnCore(p)
+        core, out = rand_model("rnn")
         tape = core.run([1, 4, 2])
         state = zero_state(NH)
         for t, w in enumerate([1, 4, 2]):
-            _, state = rnn_step(p, w, state)
+            _, state = rnn_step(core, out, w, state)
             np.testing.assert_allclose(tape.states[t], state.s, atol=1e-12)
 
     def test_zero_recurrence_equals_bigram_fnn(self):
         """With w_rec = 0 the recurrent state sees only the current word, so a
         2-gram feed-forward model with identical weights scores identically."""
-        rp = rand_params("rnn")
-        rp.w_rec[:] = 0.0
-        fp = FnnParameters.create(K, M, NH, 2, make_rng(99))
-        fp.emb[:] = rp.emb
-        fp.w_in[:] = rp.w_in
-        fp.w_out[:] = rp.w_out
+        rnn = rand_model("rnn")
+        rnn[0].params.w_rec[:] = 0.0
+        fnn = rand_model("fnn", seed=99, n=2)
+        fnn[0].params.emb[:] = rnn[0].params.emb
+        fnn[0].params.w_in[:] = rnn[0].params.w_in
+        fnn[1].w_out[:] = rnn[1].w_out
         sent = [3, 1, 4, 1, 5]
         state = zero_state(NH)
         for w in sent:
-            y_rnn, state = rnn_step(rp, w, state)
-            y_fnn = fnn_forward(fp, [w])
+            y_rnn, state = rnn_step(*rnn, w, state)
+            y_fnn = fnn_forward(*fnn, [w])
             np.testing.assert_allclose(y_rnn, y_fnn, atol=1e-12)
 
     def test_final_state_of_empty_run_is_h0(self):
@@ -138,13 +141,14 @@ class TestRnn:
 
 class TestLstm:
     def test_step_matches_straight_line(self):
-        p = rand_params("lstm", bias=True, peepholes=True)
+        core, out = rand_model("lstm", bias=True, peepholes=True)
+        p = core.params
         w = lstm_gate_matrices(p)
         rng = make_rng(2)
         prev = HiddenState(rng.normal(size=NH), rng.normal(size=NH))
-        tape = LstmCore(p).run([5], h0=prev)
+        tape = core.run([5], h0=prev)
         new = tape.final_state
-        y = FullSoftmax.for_model(p).scores(tape.states[0], tape.xs[0])
+        y = out.scores(tape.states[0], tape.xs[0])
         x = p.emb[5]
 
         def pre(gate, tap):
@@ -159,7 +163,7 @@ class TestLstm:
         s = o * np.tanh(c)
         np.testing.assert_allclose(new.c, c, atol=1e-12)
         np.testing.assert_allclose(new.s, s, atol=1e-12)
-        np.testing.assert_allclose(y, p.w_out @ s, atol=1e-12)
+        np.testing.assert_allclose(y, out.w_out @ s, atol=1e-12)
 
     def test_output_gate_taps_current_cell(self):
         """Changing only the incoming cell must move the output gate through
@@ -185,7 +189,7 @@ class TestLstm:
 
     def test_zero_parameters_give_zero_state(self):
         p = rand_params("lstm", peepholes=False)
-        for a in p.core_arrays().values():
+        for a in p.arrays().values():
             a[:] = 0.0
         tape = LstmCore(p).run([1, 2, 3])
         # candidate tanh(0)=0 so the cell never moves off zero
@@ -219,7 +223,7 @@ class TestLstm:
         final = (states[-1], cells[-1]) if words else (h0.s, h0.c)
         np.testing.assert_allclose(tape.final_state.s, final[0], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(tape.final_state.c, final[1], rtol=1e-12, atol=1e-12)
-        assert set(got) == set(expect) == set(p.core_arrays())
+        assert set(got) == set(expect) == set(p.arrays())
         assert set(got.rows) == set(expect.rows) == {"emb"}
         np.testing.assert_array_equal(got.rows["emb"], expect.rows["emb"])
         for name in expect:
@@ -231,7 +235,7 @@ class TestLstm:
     def test_create_matches_per_gate_draws(self, peepholes):
         """A seed draws the same numbers as a model stored one matrix per
         gate, drawn in the order i, f, o, g (input, recurrent, peephole)."""
-        p = LstmParameters.create(K, M, NH, make_rng(8), direct=True, bias=True,
+        p = LstmParameters.create(K, M, NH, make_rng(8), bias=True,
                                   peepholes=peepholes)
         rng = make_rng(8)
         np.testing.assert_array_equal(p.emb, init_matrix(K, M, rng))
@@ -242,8 +246,6 @@ class TestLstm:
             if peepholes:
                 np.testing.assert_array_equal(w[f"w_peep_{gate}"],
                                               init_matrix(NH, NH, rng))
-        np.testing.assert_array_equal(p.w_out, init_matrix(K, NH, rng))
-        np.testing.assert_array_equal(p.w_direct, init_matrix(K, M, rng))
         np.testing.assert_array_equal(p.b, np.zeros(len(LSTM_GATES) * NH))
         assert (p.w_peep is None) == (p.w_co is None) == (not peepholes)
 
@@ -259,15 +261,15 @@ class TestBackwardPlumbing:
         """For one softmax step, d(NLL)/d(scores) = softmax - onehot; pushing
         that through w_out^T must equal the returned state gradient source."""
         core, strategy = make_model("rnn", bias=True, seed=5)
-        p = core.params
         tape = core.run([2])
         s = tape.states[0]
         target = 4
         _, d_states, _ = strategy.score_sentence(tape.states, tape.xs, [target],
                                                  grad=True)
-        dy = softmax(p.w_out @ s + p.b_out)
+        dy = softmax(strategy.w_out @ s + strategy.b_out)
         dy[target] -= 1.0
-        np.testing.assert_allclose(-d_states[0], -(p.w_out.T @ dy), atol=1e-12)
+        np.testing.assert_allclose(-d_states[0], -(strategy.w_out.T @ dy),
+                                   atol=1e-12)
         grads = strategy.grads()
         np.testing.assert_allclose(grads["b_out"], dy, atol=1e-12)
 
@@ -277,47 +279,3 @@ class TestBackwardPlumbing:
         t2 = core.run([1, 2, 3, 4])
         np.testing.assert_array_equal(t1.final_state.s, t2.final_state.s)
         np.testing.assert_array_equal(t1.final_state.c, t2.final_state.c)
-
-
-class TestBirnn:
-    def test_shape_is_twice_hidden(self):
-        f = rand_params("rnn", seed=1, output=False)
-        b = rand_params("rnn", seed=2, output=False)
-        assert birnn_encode(f, b, [1, 2, 3]).shape == (2 * NH,)
-
-    def test_zero_weights_give_zero_code(self):
-        f = rand_params("rnn", seed=1, output=False)
-        b = rand_params("rnn", seed=2, output=False)
-        for p in (f, b):
-            for a in p.core_arrays().values():
-                a[:] = 0.0
-        np.testing.assert_array_equal(birnn_encode(f, b, [1, 2]), np.zeros(2 * NH))
-
-    def test_palindrome_with_tied_weights(self):
-        """If both directions share parameters, a palindrome reads the same
-        either way so the two halves coincide."""
-        f = rand_params("rnn", seed=3, output=False)
-        code = birnn_encode(f, f, [2, 5, 2])
-        np.testing.assert_allclose(code[:NH], code[NH:], atol=1e-12)
-
-    def test_order_sensitivity(self):
-        f = rand_params("rnn", seed=1, output=False)
-        b = rand_params("rnn", seed=2, output=False)
-        assert not np.allclose(birnn_encode(f, b, [1, 2, 3]),
-                               birnn_encode(f, b, [3, 2, 1]))
-
-    def test_empty_sentence_rejected(self):
-        f = rand_params("rnn", seed=1, output=False)
-        with pytest.raises(ValueError):
-            birnn_encode(f, f, [])
-
-
-class TestMakeCore:
-    def test_dispatch(self):
-        assert isinstance(make_core(rand_params("fnn")), FnnCore)
-        assert isinstance(make_core(rand_params("rnn")), RnnCore)
-        assert isinstance(make_core(rand_params("lstm")), LstmCore)
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            make_core(object())

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import (dense, dense_reference_epoch, example_gradient,
-                     fnn_reference, make_model, merged_arrays)
+                     fnn_reference, make_model)
 from nnlm import training
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
-from nnlm.models import FnnCore, FnnParameters, RnnCore, RnnParameters
+from nnlm.models import model_arrays
 from nnlm.numerics import make_rng, softmax
-from nnlm.output_layer import FullSoftmax
 from nnlm.training import (ProposalDistribution, TrainingConfig,
                            clip_gradients, dynamic_evaluate,
                            effective_sample_size, energy_normalize,
@@ -54,7 +53,7 @@ class TestUpdate:
         k = 40
         core, strategy = make_model("rnn", "class", seed=3, k=k, bias=True)
         _, grads = sentence_gradients(core, strategy, np.array([0, 5, 9, 5, 1]))
-        arrays = merged_arrays(core, strategy)
+        arrays = model_arrays(core, strategy)
         before = {n: a.copy() for n, a in arrays.items()}
         update_parameters(arrays, grads, 0.1, beta)
         for name in ("emb", "w_word", "b_word"):
@@ -164,8 +163,7 @@ class TestProposal:
 
 
 def energy_fnn(k=12, m=4, n_h=5, seed=0):
-    p = FnnParameters.create(k, m, n_h, 3, make_rng(seed))
-    return FnnCore(p), FullSoftmax.for_model(p, energy=True)
+    return make_model("fnn", seed=seed, energy=True, k=k, m=m, n_h=n_h, n=3)
 
 
 class _Exhaustive:
@@ -197,7 +195,7 @@ class TestImportanceSampling:
         sampled, info_s = importance_sampling_gradient(
             core, strategy, ctx, 4, _Exhaustive(k), make_rng(0), sampled_cfg)
         assert not info_s.exact and info_s.n_samples == k
-        arrays = merged_arrays(core, strategy)
+        arrays = model_arrays(core, strategy)
         exact = dense(example_gradient(core, strategy, ctx, *exact), arrays)
         sampled = dense(example_gradient(core, strategy, ctx, *sampled), arrays)
         assert set(exact) == set(sampled)
@@ -213,7 +211,7 @@ class TestImportanceSampling:
         exact_cfg = TrainingConfig(block_size=5, min_ess=1e9, max_samples=1)
         exact, _ = importance_sampling_gradient(core, strategy, ctx, target,
                                                 proposal, make_rng(0), exact_cfg)
-        arrays = merged_arrays(core, strategy)
+        arrays = model_arrays(core, strategy)
         exact = dense(example_gradient(core, strategy, ctx, *exact), arrays)
 
         def median_error(n, trials=30):
@@ -257,9 +255,7 @@ class TestImportanceSampling:
         assert info.exact and info.n_samples == 8
 
     def test_requires_energy_softmax(self):
-        p = FnnParameters.create(8, 3, 4, 3, make_rng(7))
-        core = FnnCore(p)
-        plain = FullSoftmax.for_model(p)
+        core, plain = make_model("fnn", seed=7, k=8, m=3, n_h=4, n=3)
         with pytest.raises(ValueError, match="energy"):
             importance_sampling_gradient(core, plain, [1, 2], 3,
                                          ProposalDistribution(np.ones(8)),
@@ -267,12 +263,12 @@ class TestImportanceSampling:
 
     def test_recurrent_models_refused(self):
         vocab = build_vocabulary([["a", "b"]])
-        p = RnnParameters.create(vocab.size, 3, 4, make_rng(8))
-        core = RnnCore(p)
+        core, strategy = make_model("rnn", seed=8, energy=True, k=vocab.size,
+                                    m=3, n_h=4)
         split = CorpusSplit([["a", "b"]], [["a"]], [])
         cfg = TrainingConfig(mode="importance", max_epochs=1)
         with pytest.raises(ValueError, match="feed-forward"):
-            train(core, FullSoftmax.for_model(p, energy=True), split, vocab, cfg)
+            train(core, strategy, split, vocab, cfg)
 
 
 def reference_importance_sentence(core, strategy, enc, proposal, rng, config):
@@ -281,7 +277,7 @@ def reference_importance_sentence(core, strategy, enc, proposal, rng, config):
     one-position backward; the dense gradients summed, in the order of the
     per-example tensors.  Returns (dense gradients, the SamplingInfo of
     every position)."""
-    arrays = merged_arrays(core, strategy)
+    arrays = model_arrays(core, strategy)
     total = {}
     inputs, targets = enc[:-1], enc[1:]
     contexts = fnn_reference(core.params, inputs,
@@ -339,7 +335,7 @@ class TestImportanceSentence:
             assert {info.exact for info in infos} == {False, True}
         assert rng.random() == ref_rng.random()
         assert list(grads) == list(want)    # the clip norm's summation order
-        got = dense(grads, merged_arrays(core, strategy))
+        got = dense(grads, model_arrays(core, strategy))
         for name, w in want.items():
             err = float(np.abs(got[name] - w).max())
             assert err <= 1e-12 * float(np.abs(w).max()), (name, err)
@@ -369,7 +365,7 @@ class TestTrainEpoch:
             train_epoch(core, strategy, split.train, split.validation, vocab,
                         cfg, make_rng(cfg.seed), cfg.alpha)
             results.append({n: a.copy()
-                            for n, a in merged_arrays(core, strategy).items()})
+                            for n, a in model_arrays(core, strategy).items()})
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
@@ -428,9 +424,9 @@ def test_epoch_matches_dense_reference(arch, kind):
     ref_core, ref_strategy = build()
     dense_reference_epoch(ref_core, ref_strategy, sents, vocab, cfg,
                           make_rng(4), cfg.alpha, proposal)
-    start = merged_arrays(*build())
-    got = merged_arrays(core, strategy)
-    for name, want in merged_arrays(ref_core, ref_strategy).items():
+    start = model_arrays(*build())
+    got = model_arrays(core, strategy)
+    for name, want in model_arrays(ref_core, ref_strategy).items():
         assert not np.array_equal(want, start[name]), name
         err = float(np.abs(got[name] - want).max())
         assert err <= 1e-10 * float(np.abs(want).max()), (name, err)
@@ -484,8 +480,8 @@ class TestDynamicEvaluation:
 
     def test_adaptation_mutates_parameters(self):
         core, strategy, vocab, _ = memorizable_setup(seed=12)
-        before = {n: a.copy() for n, a in merged_arrays(core, strategy).items()}
+        before = {n: a.copy() for n, a in model_arrays(core, strategy).items()}
         dynamic_evaluate(core, strategy, [["green", "eggs"]], vocab, alpha_dyn=0.1)
         changed = any(not np.array_equal(a, before[n])
-                      for n, a in merged_arrays(core, strategy).items())
+                      for n, a in model_arrays(core, strategy).items())
         assert changed
