@@ -95,6 +95,7 @@ def cmd_eval(args) -> int:
         if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     cfg.carryover = cfg.carryover or args.carryover
+    cfg.validate()
     if cfg.eval_mode == "dynamic":
         rep = training.dynamic_evaluate(core, strategy, sentences, vocab,
                                         cfg.alpha_dyn, cfg.beta_dyn, cfg.clip)

@@ -98,10 +98,12 @@ class RunConfig:
             raise ConfigError(
                 "train.mode = importance requires output.strategy = full and "
                 "output.energy = true")
-        try:
-            self.training_config()
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from None
+        for section, check in (("train", self.training_config),
+                               ("cache", self._cache_section)):
+            try:
+                check()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from None
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -111,12 +113,15 @@ class RunConfig:
             mode=self.mode, block_size=self.block_size, min_ess=self.min_ess,
             max_samples=self.max_samples)
 
-    def cache_config(self) -> CacheConfig | None:
-        if self.lam >= 1.0:
-            return None
+    def _cache_section(self) -> CacheConfig:
         return CacheConfig(lam=self.lam, length=self.cache_length,
                            decay=self.cache_decay, gamma=self.gamma,
                            mode=self.cache_mode)
+
+    def cache_config(self) -> CacheConfig | None:
+        """The cache to score with; None at cache.lambda = 1, which keeps
+        the model's probabilities unchanged."""
+        return None if self.lam == 1.0 else self._cache_section()
 
 
 # dotted key -> dataclass field

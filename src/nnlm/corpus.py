@@ -89,30 +89,12 @@ class Vocabulary:
     def encode(self, sentence: Sentence) -> np.ndarray:
         return encode(sentence, self)
 
-    def decode(self, indices) -> Sentence:
-        """Tokens for the given indices, boundary marks stripped."""
-        marks = {self.start, self.end}
-        return [self.words[i] for i in indices if i not in marks]
-
     def to_tsv(self) -> str:
         lines = [
             f"{w}\t{i}\t{f}"
             for i, (w, f) in enumerate(zip(self.words, self.frequencies))
         ]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_tsv(cls, text: str) -> "Vocabulary":
-        rows = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            word, idx, freq = line.split("\t")
-            rows.append((int(idx), word, int(freq)))
-        rows.sort()
-        words = [w for _, w, _ in rows]
-        freqs = np.array([f for _, _, f in rows], dtype=np.int64)
-        return cls(words, freqs, {w: i for i, w in enumerate(words)})
 
 
 def build_vocabulary(train: list[Sentence], min_count: int = 1) -> Vocabulary:

@@ -339,6 +339,17 @@ class _Grouped:
                 [np.zeros(0)] + [b[2] for b in blocks]))
         return out
 
+    def word_rows(self, targets) -> np.ndarray:
+        """The ``w_word`` rows that scoring ``targets`` reads: every word of
+        each class or leaf they fall in, which are the rows ``grads()`` then
+        holds."""
+        group_of, bounds, order, least = self._word_blocks()
+        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
+        lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
+        lo, size = lo[size >= least], size[size >= least]
+        starts = np.repeat(lo - (np.cumsum(size) - size), size)
+        return order[starts + np.arange(size.sum())]
+
     def _factor(self, weights, bias, rows, state, hit, accumulate):
         """log-softmax factor over `rows` of a weight matrix at position `hit`."""
         w = weights[rows]
@@ -404,6 +415,12 @@ class ClassSoftmax(_Grouped):
         if self.b_word is not None:
             out["b_word"] = self.b_word
         return out
+
+    def _word_blocks(self):
+        """(group of each word, group offsets into the word order, the word
+        order, the fewest words a group's word factor needs)."""
+        a = self.assignment
+        return a.class_of, a.bounds, a.order, 1
 
     def _pieces(self, target):
         a = self.assignment
@@ -480,6 +497,11 @@ class HierarchicalSoftmax(_Grouped):
         if self.b_word is not None:
             out["b_word"] = self.b_word
         return out
+
+    def _word_blocks(self):
+        # a leaf of one word has no word factor
+        code = self.code
+        return code.group_of[-1], code.levels[-1], code.order, 2
 
     def _path(self, target):
         code = self.code

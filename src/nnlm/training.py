@@ -73,21 +73,98 @@ TSV_HEADER = "epoch\ttrain_nll\tvalid_ppl\twords_per_s\tlr\tclip_events\n"
 def update_parameters(arrays: Arrays, grads: Arrays, alpha: float, beta: float):
     """One SGD step descending the negative log-likelihood.
 
-    Weight decay shrinks every row of every matrix by (1-beta), touched by
-    the gradient or not, and leaves biases undecayed; a row-compact gradient
-    (see ``Gradients``) then moves only its own rows.
+    Weight decay shrinks every row of every matrix by (1-beta) and leaves
+    biases undecayed; a row-compact gradient (see ``Gradients``) then moves
+    only its own rows.  The decay is eager, over every row, except for the
+    matrices a ``LazyDecay`` defers: their gradient rows, which ``sync``
+    brought up to date, decay and move as one gather and one scatter, with
+    the arithmetic of the eager step, and every other row's decay waits.
+    A non-finite gradient raises before any parameter moves.
     """
     rows = getattr(grads, "rows", {})
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name!r}")
+    lazy = getattr(arrays, "last", {})
+    for name, g in grads.items():
         theta = arrays[name]
+        if name in lazy:
+            arrays.step(name, rows[name], alpha * g)
+            continue
         if theta.ndim == 2 and beta != 0.0:
             theta *= 1.0 - beta
         if name in rows:
             theta[rows[name]] -= alpha * g
         else:
             theta -= alpha * g
+    if lazy:
+        arrays.steps += 1
+
+
+class LazyDecay(dict):
+    """Model arrays by name, the L2 decay of the word-indexed matrices
+    deferred (Carpenter 2008; Bottou 2012, "Stochastic Gradient Descent
+    Tricks").
+
+    A row of a matrix named in ``last`` owes (1-beta) for every step since
+    step ``last[name][row]``.  ``sync`` pays that as one power just before a
+    step reads the row, ``update_parameters`` decays and moves the rows of
+    the step's gradient and counts the step, and ``flush`` brings every row
+    up to date.  A power is not bit-identical to repeated products: a row
+    that skipped steps lands within a few ulps of the eager trajectory.
+    Until ``flush`` the matrices hold stale rows, so nothing but the
+    training loop may read them.
+    """
+
+    def __init__(self, arrays: Arrays, names, beta: float):
+        super().__init__(arrays)
+        self.beta = beta
+        self.steps = 0
+        self.last = {name: np.zeros(len(arrays[name]), np.int64) for name in names}
+
+    def sync(self, reads: dict[str, np.ndarray]):
+        """Bring the rows ``reads`` names (distinct ids per matrix) up to
+        date before the step reads them."""
+        for name, rows in reads.items():
+            last = self.last[name]
+            stale = rows[last[rows] < self.steps]
+            if len(stale):
+                owed = (1.0 - self.beta) ** (self.steps - last[stale])
+                self[name][stale] *= owed[:, None]
+                last[stale] = self.steps
+
+    def step(self, name: str, rows: np.ndarray, delta: np.ndarray):
+        """Decay the synced ``rows`` of one matrix by this step's (1-beta)
+        and subtract ``delta`` from them."""
+        theta = self[name]
+        theta[rows] = theta[rows] * (1.0 - self.beta) - delta
+        self.last[name][rows] = self.steps + 1
+
+    def flush(self):
+        """Apply every pending decay, one scalar pass per run of rows that
+        owe the same power.  Most rows owe the whole pass, and under the
+        frequency-binned assignments a class's words are neighbours in id
+        order, so the runs are few and long."""
+        keep = 1.0 - self.beta
+        for name, last in self.last.items():
+            theta = self[name]
+            starts = np.flatnonzero(np.diff(last, prepend=-1))
+            ends = np.append(starts[1:], len(last))
+            owed = self.steps - last[starts]
+            for lo, hi, n in zip(starts.tolist(), ends.tolist(), owed.tolist()):
+                theta[lo:hi] *= keep ** n
+            last[:] = 0
+        self.steps = 0
+
+
+def read_rows(strategy, enc: np.ndarray) -> dict[str, np.ndarray]:
+    """The rows of the word-indexed matrices that training on the encoded
+    sentence ``enc`` reads: the same rows its gradients hold.  ``emb`` reads
+    the inputs, which every FNN context window draws from too."""
+    reads = {"emb": np.unique(enc[:-1])}
+    if hasattr(strategy, "word_rows"):
+        reads["w_word"] = strategy.word_rows(enc[1:])
+    return reads
 
 
 def clip_gradients(grads: Arrays, max_norm: float) -> bool:
@@ -124,25 +201,39 @@ def train_epoch(core, strategy, train_sentences, valid_sentences,
                 vocab: Vocabulary, config: TrainingConfig, rng,
                 alpha: float, epoch: int = 1,
                 proposal: "ProposalDistribution | None" = None) -> EpochReport:
-    """One shuffled pass with per-sentence update, then validation PPL."""
+    """One shuffled pass with per-sentence update, then validation PPL.
+
+    With ``beta`` > 0, ``emb`` and ``w_word`` decay lazily (``LazyDecay``);
+    the pass flushes them before it returns or raises, so no caller sees a
+    pending decay."""
     if not train_sentences:
         raise ValueError("cannot train on an empty sentence list")
     arrays = model_arrays(core, strategy)
+    lazy = config.beta != 0.0
+    if lazy:
+        arrays = LazyDecay(arrays, [n for n in ("emb", "w_word") if n in arrays],
+                           config.beta)
     order = rng.permutation(len(train_sentences))
     total_nll, tokens, clip_events = 0.0, 0, 0
     t0 = time.perf_counter()
-    for idx in order:
-        enc = vocab.encode(train_sentences[idx])
-        if config.mode == "importance":
-            logps, grads = _importance_sentence(core, strategy, enc, proposal,
-                                                rng, config)
-        else:
-            logps, grads = sentence_gradients(core, strategy, enc)
-        if clip_gradients(grads, config.clip):
-            clip_events += 1
-        update_parameters(arrays, grads, alpha, config.beta)
-        total_nll -= sum(logps)
-        tokens += len(logps)
+    try:
+        for idx in order:
+            enc = vocab.encode(train_sentences[idx])
+            if lazy:
+                arrays.sync(read_rows(strategy, enc))
+            if config.mode == "importance":
+                logps, grads = _importance_sentence(core, strategy, enc,
+                                                    proposal, rng, config)
+            else:
+                logps, grads = sentence_gradients(core, strategy, enc)
+            if clip_gradients(grads, config.clip):
+                clip_events += 1
+            update_parameters(arrays, grads, alpha, config.beta)
+            total_nll -= sum(logps)
+            tokens += len(logps)
+    finally:
+        if lazy:
+            arrays.flush()
     elapsed = time.perf_counter() - t0
     valid = evaluation.perplexity(core, strategy, valid_sentences, vocab)
     return EpochReport(
@@ -236,19 +327,6 @@ class ProposalDistribution:
 
     def sample(self, rng, size: int) -> np.ndarray:
         return self.cdf.searchsorted(rng.random(size), side="right")
-
-
-def effective_sample_size(weights) -> float:
-    """(sum r)^2 / sum r^2; ranges from 1 (degenerate) to N (uniform)."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        raise ValueError("no weights")
-    if np.any(w < 0):
-        raise ValueError("importance weights must be non-negative")
-    total = w.sum()
-    if total == 0:
-        raise ValueError("all importance weights are zero")
-    return float(total * total / np.sum(w * w))
 
 
 def energy_normalize(scores: np.ndarray) -> np.ndarray:

@@ -3,13 +3,15 @@ the dense reference for the row-compact training step, the per-gate
 reference for the stacked LSTM core, the per-position reference for the
 feed-forward core, the per-example importance-sampling gradient, one-context
 scoring for the FNN and one-step scoring for the RNN, the per-token reference
-for sentence scoring by the full softmax, and the two-branch logistic
-function."""
+for sentence scoring by the full softmax, the two-branch logistic
+function, the effective sample size of importance weights, and the
+vocabulary's TSV reader and decoder."""
 
 import math
 
 import numpy as np
 
+from nnlm.corpus import Vocabulary
 from nnlm.models import (FnnCore, FnnParameters, FnnTape, HiddenState,
                          LstmCore, LstmParameters, RnnCore, RnnParameters,
                          _check_indices, _fnn_hidden, model_arrays)
@@ -69,18 +71,21 @@ def dense(grads, arrays):
 
 def dense_reference_epoch(core, strategy, sentences, vocab, config, rng,
                           alpha, proposal=None):
-    """The sentence loop of ``train_epoch`` with a dense clip and update:
-    every gradient expanded to its parameter's shape, every matrix decayed
-    and every row updated.  It draws from ``rng`` in the same order, so it
-    follows the same trajectory."""
+    """The sentence loop of ``train_epoch`` with a dense clip and an eager
+    update: every gradient expanded to its parameter's shape, every matrix
+    decayed and every row updated after every sentence.  It draws from
+    ``rng`` in the same order, so it follows the same trajectory.  Returns
+    each sentence's NLL in training order."""
     arrays = model_arrays(core, strategy)
+    nlls = []
     for idx in rng.permutation(len(sentences)):
         enc = vocab.encode(sentences[idx])
         if config.mode == "importance":
-            _, grads = _importance_sentence(core, strategy, enc, proposal, rng,
-                                            config)
+            logps, grads = _importance_sentence(core, strategy, enc, proposal,
+                                                rng, config)
         else:
-            _, grads = sentence_gradients(core, strategy, enc)
+            logps, grads = sentence_gradients(core, strategy, enc)
+        nlls.append(-sum(logps))
         g = dense(grads, arrays)
         total = math.sqrt(sum(float(np.sum(v * v)) for v in g.values()))
         if total > config.clip:
@@ -91,6 +96,7 @@ def dense_reference_epoch(core, strategy, sentences, vocab, config, rng,
             if theta.ndim == 2:
                 theta *= 1.0 - config.beta
             theta -= alpha * v
+    return nlls
 
 
 def sentence_nll(core, strategy, enc):
@@ -365,3 +371,36 @@ def example_gradient(core, strategy, ctx, rows, dy):
     grads = core.backward(tape, [d_h], [d_x])
     grads.update(grads_out)
     return grads
+
+
+def effective_sample_size(weights) -> float:
+    """(sum r)^2 / sum r^2; ranges from 1 (degenerate) to N (uniform)."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.size == 0:
+        raise ValueError("no weights")
+    if np.any(w < 0):
+        raise ValueError("importance weights must be non-negative")
+    total = w.sum()
+    if total == 0:
+        raise ValueError("all importance weights are zero")
+    return float(total * total / np.sum(w * w))
+
+
+def vocab_from_tsv(text: str) -> Vocabulary:
+    """The vocabulary ``Vocabulary.to_tsv`` wrote."""
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        word, idx, freq = line.split("\t")
+        rows.append((int(idx), word, int(freq)))
+    rows.sort()
+    words = [w for _, w, _ in rows]
+    freqs = np.array([f for _, _, f in rows], dtype=np.int64)
+    return Vocabulary(words, freqs, {w: i for i, w in enumerate(words)})
+
+
+def decode(vocab: Vocabulary, indices) -> list[str]:
+    """Tokens for the given indices, boundary marks stripped."""
+    marks = {vocab.start, vocab.end}
+    return [vocab.words[i] for i in indices if i not in marks]

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from helpers import (GRADIENT_CONFIGS, check_model_gradients, dense,
-                     example_gradient, fnn_forward, make_model, rnn_step)
+                     effective_sample_size, example_gradient, fnn_forward,
+                     make_model, rnn_step)
 from nnlm.caching import CacheConfig, WordCache, cache_distribution
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
@@ -27,9 +28,8 @@ from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
                                hierarchy_from_classes,
                                hierarchy_uniform_random)
 from nnlm.training import (ProposalDistribution, TrainingConfig,
-                           dynamic_evaluate, effective_sample_size,
-                           importance_sampling_gradient, sentence_gradients,
-                           train, update_parameters)
+                           dynamic_evaluate, importance_sampling_gradient,
+                           sentence_gradients, train, update_parameters)
 
 
 def corpus_root() -> Path | None:

@@ -373,6 +373,42 @@ class TestExitCodes:
         assert err.startswith(f"configuration error: {named}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "cache.lambda = 1.5", "cache.lambda = -0.5", "cache.length = 0",
+        "cache.decay = cubic", "cache.mode = bigram",
+    ])
+    def test_nonsense_cache_setting_exits_2(self, setting, tmp_path, capsys):
+        """Every cache key is checked with the configuration, also while
+        cache.lambda = 1 leaves the cache off: a model trained under a
+        nonsense cache setting would otherwise be saved and scored."""
+        cfg = small_config(tmp_path / "no-such-corpus.txt")
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(serialize_config(cfg) + setting + "\n",
+                            encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: cache: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--cache-lambda", "-0.5"], ["--cache-lambda", "1.5"],
+        ["--cache-length", "0"],
+    ], ids=["lambda-negative", "lambda-above-one", "length-zero"])
+    def test_nonsense_cache_flag_exits_2(self, flags, corpus, tmp_path,
+                                         capsys):
+        """``nnlm eval`` checks the configuration again once its flags
+        override the artifact's keys."""
+        cfg = small_config(corpus)
+        vocab = build_vocabulary([["a", "b", "c"]])
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, *build_model(cfg, vocab))
+        assert run_cli("eval", path, corpus, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: cache: ")
+
     def test_more_classes_than_words_exits_2(self, corpus, tmp_path, capsys):
         cfg = small_config(corpus, strategy="class", classes=500)
         cfg_path = tmp_path / "run.cfg"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nnlm.corpus import (END, START, UNKNOWN, Vocabulary, build_vocabulary,
-                         encode, load_corpus, load_documents, split_corpus)
+from helpers import decode, vocab_from_tsv
+from nnlm.corpus import (END, START, UNKNOWN, build_vocabulary, encode,
+                         load_corpus, load_documents, split_corpus)
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -79,7 +80,7 @@ class TestVocabulary:
 
     def test_tsv_round_trip(self):
         v = build_vocabulary([["a", "b", "a"]], min_count=1)
-        w = Vocabulary.from_tsv(v.to_tsv())
+        w = vocab_from_tsv(v.to_tsv())
         assert w.words == v.words
         assert w.index == v.index
         np.testing.assert_array_equal(w.frequencies, v.frequencies)
@@ -99,8 +100,8 @@ class TestEncode:
 
     def test_decode_strips_marks(self):
         v = build_vocabulary([["a", "b"]])
-        assert v.decode(v.encode(["b", "a"])) == ["b", "a"]
-        assert UNKNOWN in v.decode(v.encode(["q"]))
+        assert decode(v, v.encode(["b", "a"])) == ["b", "a"]
+        assert UNKNOWN in decode(v, v.encode(["q"]))
 
 
 class TestSplit:

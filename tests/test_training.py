@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import (dense, dense_reference_epoch, example_gradient,
-                     fnn_reference, make_model)
+import helpers
+from helpers import (dense, dense_reference_epoch, effective_sample_size,
+                     example_gradient, fnn_reference, make_model)
 from nnlm import training
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
 from nnlm.models import model_arrays
 from nnlm.numerics import make_rng, softmax
 from nnlm.training import (ProposalDistribution, TrainingConfig,
-                           clip_gradients, dynamic_evaluate,
-                           effective_sample_size, energy_normalize,
+                           clip_gradients, dynamic_evaluate, energy_normalize,
                            importance_sampling_gradient, sentence_gradients,
                            train, train_epoch, update_parameters)
 
@@ -430,6 +430,112 @@ def test_epoch_matches_dense_reference(arch, kind):
         assert not np.array_equal(want, start[name]), name
         err = float(np.abs(got[name] - want).max())
         assert err <= 1e-10 * float(np.abs(want).max()), (name, err)
+
+
+LAZY = [(arch, kind) for arch in ("fnn", "rnn", "lstm")
+        for kind in ("full", "class", "hier")]
+# "<s>" starts every sentence; other words recur after gaps that depend on
+# the shuffled order
+STALE_SENTS = [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "a"],
+               ["i", "j", "k"], ["b", "l", "m"], ["n", "o", "d"],
+               ["p", "q", "r"], ["c", "e", "s"]]
+
+
+def stale_setup(arch, kind):
+    vocab = build_vocabulary(STALE_SENTS)
+    cfg = TrainingConfig(alpha=0.3, beta=0.1, clip=5.0)
+
+    def build():
+        return make_model(arch, kind, seed=5, k=vocab.size, bias=True)
+
+    return vocab, cfg, build
+
+
+@pytest.mark.parametrize("arch,kind", LAZY, ids=[f"{a}-{k}" for a, k in LAZY])
+def test_lazy_decay_syncs_stale_rows(arch, kind, monkeypatch):
+    """With a decay large enough that a missed sync moves a sentence's NLL
+    by about 1e-2, every sentence scores as under the eager update, and the
+    epoch ends where the eager one does."""
+    vocab, cfg, build = stale_setup(arch, kind)
+    order = make_rng(4).permutation(len(STALE_SENTS))
+    seen, gaps = {}, []
+    for step, idx in enumerate(order):
+        for word in set(STALE_SENTS[idx]):
+            if word in seen:
+                gaps.append(step - seen[word])
+            seen[word] = step
+    assert max(gaps) >= 3    # a word read again after two sentences without it
+
+    got = []
+    real = training.sentence_gradients
+
+    def recording(core, strategy, enc):
+        logps, grads = real(core, strategy, enc)
+        got.append(-sum(logps))
+        return logps, grads
+
+    core, strategy = build()
+    monkeypatch.setattr(training, "sentence_gradients", recording)
+    train_epoch(core, strategy, STALE_SENTS, STALE_SENTS[:1], vocab, cfg,
+                make_rng(4), cfg.alpha)
+    monkeypatch.undo()
+    ref_core, ref_strategy = build()
+    want = dense_reference_epoch(ref_core, ref_strategy, STALE_SENTS, vocab,
+                                 cfg, make_rng(4), cfg.alpha)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    got_arrays = model_arrays(core, strategy)
+    for name, w in model_arrays(ref_core, ref_strategy).items():
+        err = float(np.abs(got_arrays[name] - w).max())
+        assert err <= 1e-10 * float(np.abs(w).max()), (name, err)
+
+
+@pytest.mark.parametrize("arch,kind", LAZY, ids=[f"{a}-{k}" for a, k in LAZY])
+def test_read_rows_are_gradient_rows(arch, kind):
+    """The rows declared before a sentence's forward pass are the rows its
+    gradients hold, one-word hierarchy leaves (which k=12 has) included."""
+    core, strategy = make_model(arch, kind, seed=2)
+    rng = make_rng(3)
+    for enc in (np.concatenate([[0], rng.permutation(12)]),
+                rng.integers(0, 12, size=6)):
+        _, grads = sentence_gradients(core, strategy, enc)
+        reads = training.read_rows(strategy, enc)
+        assert set(reads) == {"emb", "w_word"} & set(grads.rows)
+        for name, rows in reads.items():
+            assert len(np.unique(rows)) == len(rows)
+            assert set(rows.tolist()) == set(grads.rows[name].tolist()), name
+
+
+def test_failed_epoch_flushes_pending_decay(monkeypatch):
+    """A sentence that raises mid-epoch leaves the parameters where the
+    eager update of the sentences before it leaves them."""
+    vocab, cfg, build = stale_setup("rnn", "class")
+
+    def failing_after(n, real):
+        calls = []
+
+        def gradients(core, strategy, enc):
+            calls.append(1)
+            if len(calls) > n:
+                raise FloatingPointError("injected")
+            return real(core, strategy, enc)
+        return gradients
+
+    core, strategy = build()
+    monkeypatch.setattr(training, "sentence_gradients",
+                        failing_after(5, training.sentence_gradients))
+    with pytest.raises(FloatingPointError, match="injected"):
+        train_epoch(core, strategy, STALE_SENTS, STALE_SENTS[:1], vocab, cfg,
+                    make_rng(4), cfg.alpha)
+    ref_core, ref_strategy = build()
+    monkeypatch.setattr(helpers, "sentence_gradients",
+                        failing_after(5, helpers.sentence_gradients))
+    with pytest.raises(FloatingPointError, match="injected"):
+        dense_reference_epoch(ref_core, ref_strategy, STALE_SENTS, vocab, cfg,
+                              make_rng(4), cfg.alpha)
+    got = model_arrays(core, strategy)
+    for name, w in model_arrays(ref_core, ref_strategy).items():
+        err = float(np.abs(got[name] - w).max())
+        assert err <= 1e-10 * float(np.abs(w).max()), (name, err)
 
 
 class TestSchedule:
