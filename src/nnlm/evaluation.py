@@ -37,10 +37,16 @@ def report_from_log2(sentence_log2: list[float], tokens: int,
     if tokens == 0:
         raise ValueError("no tokens were scored")
     total = float(sum(sentence_log2))
+    try:
+        ppl = 2.0 ** (-total / tokens)
+    except OverflowError:
+        raise FloatingPointError(
+            f"perplexity 2^{-total / tokens:.6g} overflows a float "
+            f"(log2 total {total:.6g} over {tokens} tokens)") from None
     wps = None
     if elapsed is not None and elapsed > 0:
         wps = tokens / elapsed
-    return EvalReport(tokens, total, 2.0 ** (-total / tokens), wps, sentence_log2)
+    return EvalReport(tokens, total, ppl, wps, sentence_log2)
 
 
 def reverse_sentences(sentences: list[Sentence]) -> list[Sentence]:

@@ -43,11 +43,20 @@ def _check_indices(indices: np.ndarray, k: int):
         raise ValueError(f"word index out of range for vocabulary of size {k}")
 
 
-def _zero_grads(p) -> Gradients:
-    """Zero gradients for every core array but ``emb``, which the backward
-    pass stores row-compact."""
-    return Gradients({name: np.zeros_like(a)
-                      for name, a in p.arrays().items() if name != "emb"})
+def _set_emb_grad(g: Gradients, words, dX, d_inputs, m: int, step: int = 1):
+    """Add each ``d_inputs`` row that is not None to ``dX``, then sum the
+    m-wide pieces of ``dX`` into ``g``'s row-compact ``emb``, one row per
+    distinct word of ``words``, visiting positions in the order ``step``
+    gives (the recurrent cores add in reverse time order)."""
+    if d_inputs is not None:
+        for t, d in enumerate(d_inputs):
+            if d is not None:
+                dX[t] += d
+    rows, slot = np.unique(words, return_inverse=True)
+    d_emb = np.zeros((len(rows), m))
+    np.add.at(d_emb, slot.reshape(-1)[::step], dX.reshape(-1, m)[::step])
+    g.set_rows("emb", rows, d_emb)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +157,7 @@ class FnnCore:
         g = Gradients({"w_in": dA.T @ tape.xs})
         if p.b_in is not None:
             g["b_in"] = dA.sum(axis=0)
-        dX = dA @ p.w_in
-        if d_inputs is not None:
-            for t, d in enumerate(d_inputs):
-                if d is not None:
-                    dX[t] += d
-        rows, slot = np.unique(tape.contexts, return_inverse=True)
-        d_emb = np.zeros((len(rows), p.m))
-        np.add.at(d_emb, slot.reshape(-1), dX.reshape(-1, p.m))
-        g.set_rows("emb", rows, d_emb)
-        return g
+        return _set_emb_grad(g, tape.contexts, dA @ p.w_in, d_inputs, p.m)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +197,20 @@ class RnnParameters:
 
 @dataclass
 class RnnTape:
+    """Row t of ``xs`` belongs to input t; row t + 1 of ``s`` is the state
+    after input t and row 0 the initial state."""
+
     words: np.ndarray
-    xs: list[np.ndarray]
-    states: list[np.ndarray]
-    s0: np.ndarray
+    xs: np.ndarray      # T x m
+    s: np.ndarray       # (T + 1) x n_h
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.s[1:]
 
     @property
     def final_state(self) -> HiddenState:
-        return HiddenState(self.states[-1].copy() if self.states else self.s0.copy())
+        return HiddenState(self.s[-1].copy())
 
 
 class RnnCore:
@@ -212,49 +218,46 @@ class RnnCore:
         self.params = params
 
     def run(self, inputs, h0: HiddenState | None = None) -> RnnTape:
+        """One gemv with ``w_in`` and one with ``w_rec`` per step.  Projecting
+        every input at once would change the states' bits, and on a diverged
+        model it gives finite states where these products give the NaN that
+        stops training with a non-finite gradient."""
         p = self.params
         inputs = np.asarray(inputs, dtype=np.int64)
         _check_indices(inputs, p.k)
-        s = np.zeros(p.n_h) if h0 is None else np.asarray(h0.s, dtype=np.float64)
-        if s.shape != (p.n_h,):
-            raise ValueError(f"initial state has shape {s.shape}, expected ({p.n_h},)")
-        s0 = s.copy()
-        xs, states = [], []
-        for w in inputs:
-            x = p.emb[w]
-            a = p.w_in @ x + p.w_rec @ s
+        S = np.zeros((len(inputs) + 1, p.n_h))
+        if h0 is not None:
+            s0 = np.asarray(h0.s, dtype=np.float64)
+            if s0.shape != (p.n_h,):
+                raise ValueError(
+                    f"initial state has shape {s0.shape}, expected ({p.n_h},)")
+            S[0] = s0
+        X = p.emb[inputs]
+        for t in range(len(inputs)):
+            a = p.w_in @ X[t] + p.w_rec @ S[t]
             if p.b_in is not None:
-                a = a + p.b_in
-            s = np.tanh(a)
-            xs.append(x)
-            states.append(s)
-        return RnnTape(inputs, xs, states, s0)
+                a += p.b_in
+            np.tanh(a, out=S[t + 1])
+        return RnnTape(inputs, X, S)
 
     def backward(self, tape: RnnTape, d_states, d_inputs=None) -> Gradients:
+        """The deltas in one reverse pass over the recurrent carry, then every
+        weight gradient as one product over the whole sentence."""
         p = self.params
-        if len(d_states) != len(tape.states):
-            raise ValueError(
-                f"tape has {len(tape.states)} steps but got {len(d_states)} gradients"
-            )
-        g = _zero_grads(p)
-        rows, slot = np.unique(tape.words, return_inverse=True)
-        d_emb = np.zeros((len(rows), p.emb.shape[1]))
+        T = len(tape.xs)
+        if len(d_states) != T:
+            raise ValueError(f"tape has {T} steps but got {len(d_states)} gradients")
+        k_a = tanh_deriv(tape.states)      # ds/da at every step
+        dA = np.empty((T, p.n_h))
         carry = np.zeros(p.n_h)
-        for t in range(len(d_states) - 1, -1, -1):
-            s = tape.states[t]
-            s_prev = tape.states[t - 1] if t > 0 else tape.s0
-            da = (d_states[t] + carry) * tanh_deriv(s)
-            g["w_in"] += np.outer(da, tape.xs[t])
-            g["w_rec"] += np.outer(da, s_prev)
-            if p.b_in is not None:
-                g["b_in"] += da
-            dx = p.w_in.T @ da
-            if d_inputs is not None and d_inputs[t] is not None:
-                dx = dx + d_inputs[t]
-            d_emb[slot[t]] += dx
-            carry = p.w_rec.T @ da
-        g.set_rows("emb", rows, d_emb)
-        return g
+        for t in range(T - 1, -1, -1):
+            np.multiply(d_states[t] + carry, k_a[t], out=dA[t])
+            carry = p.w_rec.T @ dA[t]
+        g = Gradients({"w_in": dA.T @ tape.xs, "w_rec": dA.T @ tape.s[:-1]})
+        if p.b_in is not None:
+            g["b_in"] = dA.sum(axis=0)
+        return _set_emb_grad(g, tape.words, dA @ p.w_in, d_inputs,
+                             p.emb.shape[1], step=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +418,6 @@ class LstmCore:
             gr["w_co"] = dA[:, ifg:].T @ tape.cells
         if p.b is not None:
             gr["b"] = dA.sum(axis=0)
-        dX = dA @ p.w_x
-        if d_inputs is not None:
-            for t, d in enumerate(d_inputs):
-                if d is not None:
-                    dX[t] += d
-        rows, slot = np.unique(tape.words, return_inverse=True)
-        d_emb = np.zeros((len(rows), p.emb.shape[1]))
-        np.add.at(d_emb, slot[::-1], dX[::-1])
-        gr.set_rows("emb", rows, d_emb)
-        return gr
+        return _set_emb_grad(gr, tape.words, dA @ p.w_x, d_inputs,
+                             p.emb.shape[1], step=-1)
 

@@ -1,11 +1,12 @@
 """Shared test utilities: small model factories, finite-difference checks,
 the dense reference for the row-compact training step, the per-gate
 reference for the stacked LSTM core, the per-position reference for the
-feed-forward core, the per-example importance-sampling gradient, one-context
-scoring for the FNN and one-step scoring for the RNN, the per-token reference
-for sentence scoring by the full softmax, the two-branch logistic
-function, the effective sample size of importance weights, and the
-vocabulary's TSV reader and decoder."""
+feed-forward core, the per-step reference for the simple recurrent core, the
+per-example importance-sampling gradient, one-context scoring for the FNN
+and one-step scoring for the RNN, the per-token reference for sentence
+scoring by the full softmax, the two-branch logistic function, the effective
+sample size of importance weights, and the vocabulary's TSV reader and
+decoder."""
 
 import math
 
@@ -342,6 +343,45 @@ def fnn_reference(p: FnnParameters, inputs, d_states, d_inputs=None):
         np.add.at(d_emb, slot[t], dx.reshape(-1, p.m))
     grads.set_rows("emb", rows, d_emb)
     return contexts, xs, states, grads
+
+
+def rnn_reference(p: RnnParameters, inputs, h0, d_states, d_inputs=None):
+    """``RnnCore.run`` and ``RnnCore.backward`` one step at a time, as the core
+    was first written: two gemvs per step forward, two outer products and a
+    row add into ``emb`` per step backward, in reverse order.  Returns
+    (xs, states, grads), ``emb`` row-compact."""
+    inputs = np.asarray(inputs, dtype=np.int64)
+    s = np.zeros(p.n_h) if h0 is None else np.asarray(h0.s, dtype=np.float64)
+    s0 = s.copy()
+    xs, states = [], []
+    for w in inputs:
+        x = p.emb[w]
+        a = p.w_in @ x + p.w_rec @ s
+        if p.b_in is not None:
+            a = a + p.b_in
+        s = np.tanh(a)
+        xs.append(x)
+        states.append(s)
+    grads = Gradients({name: np.zeros_like(a)
+                       for name, a in p.arrays().items() if name != "emb"})
+    rows, slot = np.unique(inputs, return_inverse=True)
+    d_emb = np.zeros((len(rows), p.emb.shape[1]))
+    carry = np.zeros(p.n_h)
+    for t in range(len(d_states) - 1, -1, -1):
+        s = states[t]
+        s_prev = states[t - 1] if t > 0 else s0
+        da = (d_states[t] + carry) * tanh_deriv(s)
+        grads["w_in"] += np.outer(da, xs[t])
+        grads["w_rec"] += np.outer(da, s_prev)
+        if p.b_in is not None:
+            grads["b_in"] += da
+        dx = p.w_in.T @ da
+        if d_inputs is not None and d_inputs[t] is not None:
+            dx = dx + d_inputs[t]
+        d_emb[slot[t]] += dx
+        carry = p.w_rec.T @ da
+    grads.set_rows("emb", rows, d_emb)
+    return xs, states, grads
 
 
 def backprop_rows(strategy, rows, dy, state, x):

@@ -464,6 +464,23 @@ class TestExitCodes:
         # a real process prints numpy's warnings to stderr too
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("output", ["full", "class", "hier"])
+    @pytest.mark.parametrize("arch", ["fnn", "rnn", "lstm"])
+    def test_diverged_model_exits_1(self, arch, output, corpus, tmp_path,
+                                    capsys, recwarn):
+        """A learning rate this large leaves every gradient finite but drives
+        the validation log-probability so low that its perplexity does not
+        fit in a float."""
+        cfg = small_config(corpus, arch=arch, strategy=output, alpha=1e10)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: perplexity 2^")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_per_gate_lstm_artifact_exits_1(self, corpus, tmp_path, capsys):
         path = tmp_path / "old.nnlm"
         save_per_gate_lstm(path, corpus)

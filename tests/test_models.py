@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (LSTM_GATES, fnn_forward, fnn_reference,
-                     lstm_gate_matrices, lstm_reference, make_model, rnn_step)
+                     lstm_gate_matrices, lstm_reference, make_model,
+                     rnn_reference, rnn_step)
 from nnlm.models import (FnnCore, FnnParameters, HiddenState, LstmCore,
                          LstmParameters, RnnCore, RnnParameters, zero_state)
 from nnlm.numerics import init_matrix, make_rng, sigmoid, softmax
@@ -97,6 +98,60 @@ class TestFnnCoreGemm:
         assert tape.contexts.shape == (0, 2) and tape.states.shape == (0, NH)
         g = FnnCore(p).backward(tape, np.zeros((0, NH)))
         assert not g["w_in"].any() and len(g.rows["emb"]) == 0
+
+
+RNN_CASES = {   # name: (inputs, carried-in h0, which d_inputs rows are None)
+    "sentence": ([3, 1, 4, 1, 5, 8, 2, 6, 5, 3], False, None),
+    "repeated-words": ([2, 2, 7, 2, 7, 7, 2], False, None),
+    "one-step": ([7], False, None),
+    "carried-in-h0": ([4, 0, 8, 4, 1], True, None),
+    "some-input-grads-none": ([3, 1, 4, 1, 5, 1], True, [1, 4]),
+}
+
+
+class TestRnnCoreGemm:
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("case", sorted(RNN_CASES))
+    def test_matches_per_step_reference(self, case, bias):
+        """The sentence-GEMM backward pass against the per-step loop it
+        replaced: the forward states bit for bit, and gradients equal up to
+        the order of summation."""
+        inputs, carried, none_rows = RNN_CASES[case]
+        p = rand_params("rnn", seed=3, bias=bias)
+        rng = make_rng(4)
+        if bias:
+            p.b_in[:] = rng.normal(size=NH)
+        T = len(inputs)
+        h0 = HiddenState(rng.normal(size=NH) * 0.5) if carried else None
+        d_states = list(rng.normal(size=(T, NH)))
+        d_inputs = list(rng.normal(size=(T, M)))
+        for t in none_rows or []:
+            d_inputs[t] = None
+        xs, states, want = rnn_reference(p, inputs, h0, d_states, d_inputs)
+
+        core = RnnCore(p)
+        tape = core.run(inputs, h0=h0)
+        np.testing.assert_array_equal(tape.xs, xs)
+        np.testing.assert_array_equal(tape.states, states)
+        np.testing.assert_array_equal(tape.final_state.s, states[-1])
+        got = core.backward(tape, d_states, d_inputs)
+        assert list(got) == list(want)
+        np.testing.assert_array_equal(got.rows["emb"], want.rows["emb"])
+        for name, w in want.items():
+            err = float(np.abs(got[name] - w).max())
+            assert err <= 1e-12 * float(np.abs(w).max()), (name, err)
+
+    def test_empty_sentence(self):
+        """Zero-row tapes and all-zero gradients; that the final state is
+        ``h0`` is checked by ``TestRnn.test_final_state_of_empty_run_is_h0``."""
+        p = rand_params("rnn", bias=True)
+        h0 = HiddenState(np.arange(NH, dtype=float) / NH)
+        tape = RnnCore(p).run([], h0=h0)
+        assert tape.xs.shape == (0, M) and tape.states.shape == (0, NH)
+        g = RnnCore(p).backward(tape, np.zeros((0, NH)))
+        assert list(g) == ["w_in", "w_rec", "b_in", "emb"]
+        assert not any(g[name].any() for name in g)
+        assert len(g.rows["emb"]) == 0
 
 
 class TestRnn:
