@@ -1,12 +1,15 @@
 """Neural language-model laboratory: FNN/RNN/LSTM cores with exact manual
 backpropagation, factored softmax output layers, caching, and perplexity
-experiments driven from a small CLI."""
+experiments driven from a small CLI.
 
-from . import (artifact, caching, cli, config, corpus, evaluation, models,
+``cli`` is not imported here: ``python -m nnlm.cli`` must find it not yet
+imported, or runpy prints a warning before the command's own output."""
+
+from . import (artifact, caching, config, corpus, evaluation, models,
                numerics, output_layer, training)
 
 __all__ = [
-    "artifact", "caching", "cli", "config", "corpus", "evaluation",
+    "artifact", "caching", "config", "corpus", "evaluation",
     "models", "numerics", "output_layer", "training",
 ]
 

@@ -8,8 +8,8 @@ vocabulary so the interpolated output stays a probability distribution.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class CacheConfig:
             raise ValueError(f"interpolation weight must be in [0,1], got {self.lam}")
         if self.length < 1:
             raise ValueError(f"cache length must be >= 1, got {self.length}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.decay not in DECAY_MODES:
             raise ValueError(f"decay must be one of {DECAY_MODES}, got {self.decay!r}")
         if self.mode not in ("word", "class"):
@@ -38,32 +40,55 @@ class CacheConfig:
 
 
 class WordCache:
-    """Ring of the last <= N indices; age 1 is the most recent entry."""
+    """Ring of the last <= N indices; age 1 is the most recent entry.
+
+    An int64 buffer of 2N holds the entries newest first in one contiguous
+    run, ``view``.  A push writes the slot in front of it; once the run
+    reaches the buffer's front, the newest N-1 entries move to its end."""
 
     def __init__(self, length: int):
-        self._ring: deque[int] = deque(maxlen=length)
+        self._length = length
+        self._buf = np.zeros(2 * length, dtype=np.int64)
+        self._start = 2 * length    # the newest entry's slot
+        self._n = 0
 
     def push(self, index: int):
-        self._ring.appendleft(int(index))
+        if self._start == 0:
+            keep = min(self._n, self._length - 1)
+            self._start = 2 * self._length - keep
+            self._buf[self._start:] = self._buf[:keep]
+        self._start -= 1
+        self._buf[self._start] = index
+        self._n = min(self._n + 1, self._length)
 
     def clear(self):
-        self._ring.clear()
+        self._n = 0
 
     def __len__(self):
-        return len(self._ring)
+        return self._n
+
+    @property
+    def view(self) -> np.ndarray:
+        """The cached indices ordered by age, newest first."""
+        return self._buf[self._start:self._start + self._n]
 
     def entries(self) -> list[int]:
         """Cached indices ordered by age, newest first."""
-        return list(self._ring)
+        return self.view.tolist()
 
 
-def _rho(n: int, config: CacheConfig) -> np.ndarray:
+@lru_cache(maxsize=1024)
+def _rho(n: int, decay: str, gamma: float) -> tuple[np.ndarray, np.float64]:
+    """The recency weights of fill level n and their sum, read-only."""
     j = np.arange(1, n + 1, dtype=np.float64)
-    if config.decay == "constant":
-        return np.ones(n)
-    if config.decay == "linear":
-        return 1.0 - (j - 1.0) / n
-    return config.gamma ** (j - 1.0)
+    if decay == "constant":
+        rho = np.ones(n)
+    elif decay == "linear":
+        rho = 1.0 - (j - 1.0) / n
+    else:
+        rho = gamma ** (j - 1.0)
+    rho.flags.writeable = False
+    return rho, rho.sum()
 
 
 def cache_probability(cache: WordCache, index: int, config: CacheConfig) -> float:
@@ -72,25 +97,12 @@ def cache_probability(cache: WordCache, index: int, config: CacheConfig) -> floa
     n = len(cache)
     if n == 0:
         return 0.0
-    rho = _rho(n, config)
-    hits = np.fromiter((1.0 if e == index else 0.0 for e in cache.entries()),
-                       dtype=np.float64, count=n)
-    return float((rho * hits).sum() / rho.sum())
+    rho, rho_sum = _rho(n, config.decay, config.gamma)
+    return float((rho * (cache.view == index)).sum() / rho_sum)
 
 
 # A class cache is the same recency statistic over class indices.
 class_cache_probability = cache_probability
-
-
-def cache_distribution(cache: WordCache, k: int, config: CacheConfig) -> np.ndarray:
-    """Dense normalized cache factor over k symbols (zeros when empty)."""
-    out = np.zeros(k)
-    n = len(cache)
-    if n == 0:
-        return out
-    rho = _rho(n, config)
-    np.add.at(out, cache.entries(), rho)
-    return out / rho.sum()
 
 
 def interpolate(p_model: float, p_cache: float, lam: float) -> float:

@@ -88,6 +88,10 @@ class RunConfig:
         for key, value, least in minima:
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if not 0.0 <= self.alpha_dyn < float("inf"):
+            raise ConfigError(f"eval.alpha_dyn must be finite and >= 0, got {self.alpha_dyn}")
+        if not 0.0 <= self.beta_dyn < 1.0:
+            raise ConfigError(f"eval.beta_dyn must be in [0, 1), got {self.beta_dyn}")
         if self.strategy == "hier" and self.assign != "uniform" and self.levels != 1:
             raise ConfigError(
                 f"output.levels = {self.levels} needs output.assign = uniform; "

@@ -37,6 +37,9 @@ def report_from_log2(sentence_log2: list[float], tokens: int,
     if tokens == 0:
         raise ValueError("no tokens were scored")
     total = float(sum(sentence_log2))
+    if not math.isfinite(total):
+        raise FloatingPointError(
+            f"perplexity is not finite (log2 total {total} over {tokens} tokens)")
     try:
         ppl = 2.0 ** (-total / tokens)
     except OverflowError:
@@ -79,7 +82,10 @@ def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
         if not isinstance(strategy, ClassSoftmax):
             raise ValueError("class cache requires a class-factored output layer")
         class_of = strategy.assignment.class_of
-    ring = caching.WordCache(cache.length) if use_cache else None
+    # the ring never holds more entries than there are tokens to score, so
+    # it is no longer than that, whatever cache.length asks for
+    n_tokens = sum(len(s) + 1 for s in sentences)
+    ring = caching.WordCache(min(cache.length, n_tokens)) if use_cache else None
     starts = _doc_starts(len(sentences), doc_ids)
     with_cell = isinstance(core, LstmCore)
     n_h = core.params.n_h

@@ -1,15 +1,17 @@
 """Output strategies: full softmax, class-factored softmax, and multi-level
 hierarchical decomposition, plus the class-assignment rules.
 
-Assignments keep every class contiguous in a stored word ordering so the
-word-in-class scores are a single matrix slice.  The class and hierarchical
-layers keep the word-factor gradients (``w_word``, ``b_word``) row-compact,
-one block per class or leaf a sentence hit (see ``numerics.Gradients``).
+Assignments keep every class contiguous in a stored word ordering; a factor
+reads its weight rows in place where they form one run and gathers them
+otherwise.  The class and hierarchical layers keep the word-factor gradients
+(``w_word``, ``b_word``) row-compact, one block per class or leaf a sentence
+hit (see ``numerics.Gradients``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, sqrt
 
 import numpy as np
@@ -316,10 +318,12 @@ class _Grouped:
                    if name not in ("w_word", "b_word")}
         self._blocks = {}   # group -> [word ids, w_word block, b_word block]
 
-    def _add_word_block(self, group, rows, dy, state):
+    def _add_word_block(self, group, dy, state):
         """Accumulate the word-factor gradient of one class or leaf."""
         block = self._blocks.get(group)
         if block is None:
+            _, bounds, order, _ = self._word_blocks()
+            rows = order[bounds[group]:bounds[group + 1]]
             self._blocks[group] = [rows, np.outer(dy, state), dy]
         else:
             block[1] += np.outer(dy, state)
@@ -350,8 +354,18 @@ class _Grouped:
         starts = np.repeat(lo - (np.cumsum(size) - size), size)
         return order[starts + np.arange(size.sum())]
 
+    @cached_property
+    def _readers(self) -> list:
+        """Per class or leaf, the index that reads its ``w_word`` rows: a
+        slice when its word ids form one run, else the ids."""
+        _, bounds, order, _ = self._word_blocks()
+        blocks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [slice(int(b[0]), int(b[-1]) + 1) if len(b) and np.all(np.diff(b) == 1)
+                else b for b in blocks]
+
     def _factor(self, weights, bias, rows, state, hit, accumulate):
-        """log-softmax factor over `rows` of a weight matrix at position `hit`."""
+        """log-softmax factor over `rows` (a slice read in place, or ids that
+        gather a copy) of a weight matrix at position `hit`."""
         w = weights[rows]
         y = w @ state
         if bias is not None:
@@ -427,15 +441,12 @@ class ClassSoftmax(_Grouped):
         if not 0 <= target < a.k:
             raise ValueError(f"word {target} has no class assignment")
         c = int(a.class_of[target])
-        lo, hi = a.bounds[c], a.bounds[c + 1]
-        rows = a.order[lo:hi]
-        return c, rows, int(a.position[target] - lo)
+        return c, self._readers[c], int(a.position[target] - a.bounds[c])
 
     def factor_logprobs(self, state, target):
         """(log P(class|h), log P(word|class,h)) without touching gradients."""
         c, rows, slot = self._pieces(target)
-        lp_c, _ = self._factor(self.w_class, self.b_class,
-                               np.arange(self.assignment.r), state, c, False)
+        lp_c, _ = self._factor(self.w_class, self.b_class, slice(None), state, c, False)
         lp_w, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
         return lp_c, lp_w
 
@@ -445,15 +456,14 @@ class ClassSoftmax(_Grouped):
 
     def logprob_grad(self, state, x, target):
         c, rows, slot = self._pieces(target)
-        all_classes = np.arange(self.assignment.r)
         lp_c, (dy_c, ds_c) = self._factor(self.w_class, self.b_class,
-                                          all_classes, state, c, True)
+                                          slice(None), state, c, True)
         lp_w, (dy_w, ds_w) = self._factor(self.w_word, self.b_word,
                                           rows, state, slot, True)
         self._g["w_class"] += np.outer(dy_c, state)
         if self.b_class is not None:
             self._g["b_class"] += dy_c
-        self._add_word_block(c, rows, dy_w, state)
+        self._add_word_block(c, dy_w, state)
         return lp_c + lp_w, ds_c + ds_w, None
 
 
@@ -516,28 +526,27 @@ class HierarchicalSoftmax(_Grouped):
                 parent = int(code.group_of[j - 1][target])
                 lo = int(code.child_lo[j - 1][parent])
                 hi = int(code.child_lo[j - 1][parent + 1])
-            path.append((j, np.arange(lo, hi), g - lo))
+            path.append((j, slice(lo, hi), g - lo))
         leaf = int(code.group_of[-1][target])
         wlo, whi = code.levels[-1][leaf], code.levels[-1][leaf + 1]
-        rows = code.order[wlo:whi]
         slot = int(code.position[target] - wlo)
-        return path, rows, slot
+        return path, leaf, whi - wlo, slot
 
     def logprob(self, state, x, target) -> float:
-        path, rows, slot = self._path(target)
+        path, leaf, size, slot = self._path(target)
         total = 0.0
         for j, groups, hit in path:
             b = None if self.level_b is None else self.level_b[j]
             lp, _ = self._factor(self.level_w[j], b, groups, state, hit, False)
             total += lp
-        if len(rows) > 1:
-            lp, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
+        if size > 1:
+            lp, _ = self._factor(self.w_word, self.b_word, self._readers[leaf],
+                                 state, slot, False)
             total += lp
         return total
 
     def logprob_grad(self, state, x, target):
-        path, rows, slot = self._path(target)
-        leaf = int(self.code.group_of[-1][target])
+        path, leaf, size, slot = self._path(target)
         total = 0.0
         d_state = np.zeros_like(state)
         for j, groups, hit in path:
@@ -548,9 +557,10 @@ class HierarchicalSoftmax(_Grouped):
             self._g[f"w_level{j + 1}"][groups] += np.outer(dy, state)
             if self.level_b is not None:
                 self._g[f"b_level{j + 1}"][groups] += dy
-        if len(rows) > 1:
-            lp, (dy, ds) = self._factor(self.w_word, self.b_word, rows, state, slot, True)
+        if size > 1:
+            lp, (dy, ds) = self._factor(self.w_word, self.b_word, self._readers[leaf],
+                                        state, slot, True)
             total += lp
             d_state += ds
-            self._add_word_block(leaf, rows, dy, state)
+            self._add_word_block(leaf, dy, state)
         return total, d_state, None

@@ -5,13 +5,16 @@ feed-forward core, the per-step reference for the simple recurrent core, the
 per-example importance-sampling gradient, one-context scoring for the FNN
 and one-step scoring for the RNN, the per-token reference for sentence
 scoring by the full softmax, the two-branch logistic function, the effective
-sample size of importance weights, and the vocabulary's TSV reader and
-decoder."""
+sample size of importance weights, the vocabulary's TSV reader and
+decoder, the deque cache and its dense distribution, and the gathered
+class and hierarchical factors."""
 
 import math
+from collections import deque
 
 import numpy as np
 
+from nnlm.caching import CacheConfig
 from nnlm.corpus import Vocabulary
 from nnlm.models import (FnnCore, FnnParameters, FnnTape, HiddenState,
                          LstmCore, LstmParameters, RnnCore, RnnParameters,
@@ -444,3 +447,204 @@ def decode(vocab: Vocabulary, indices) -> list[str]:
     """Tokens for the given indices, boundary marks stripped."""
     marks = {vocab.start, vocab.end}
     return [vocab.words[i] for i in indices if i not in marks]
+
+
+class DequeCache:
+    """Ring of the last <= N indices; age 1 is the most recent entry.  The
+    cache as a ``deque``, as ``caching.WordCache`` was first written."""
+
+    def __init__(self, length: int):
+        self._ring: deque[int] = deque(maxlen=length)
+
+    def push(self, index: int):
+        self._ring.appendleft(int(index))
+
+    def clear(self):
+        self._ring.clear()
+
+    def __len__(self):
+        return len(self._ring)
+
+    def entries(self) -> list[int]:
+        """Cached indices ordered by age, newest first."""
+        return list(self._ring)
+
+
+def _rho(n: int, config: CacheConfig) -> np.ndarray:
+    j = np.arange(1, n + 1, dtype=np.float64)
+    if config.decay == "constant":
+        return np.ones(n)
+    if config.decay == "linear":
+        return 1.0 - (j - 1.0) / n
+    return config.gamma ** (j - 1.0)
+
+
+def deque_cache_probability(cache, index: int, config: CacheConfig) -> float:
+    """Recency-weighted fraction of cache slots holding ``index``, normalized
+    so the cache factor sums to one over the vocabulary.  Empty cache: 0.
+    ``caching.cache_probability`` as first written, one generator step per
+    entry."""
+    n = len(cache)
+    if n == 0:
+        return 0.0
+    rho = _rho(n, config)
+    hits = np.fromiter((1.0 if e == index else 0.0 for e in cache.entries()),
+                       dtype=np.float64, count=n)
+    return float((rho * hits).sum() / rho.sum())
+
+
+def cache_distribution(cache, k: int, config: CacheConfig) -> np.ndarray:
+    """Dense normalized cache factor over k symbols (zeros when empty)."""
+    out = np.zeros(k)
+    n = len(cache)
+    if n == 0:
+        return out
+    rho = _rho(n, config)
+    np.add.at(out, cache.entries(), rho)
+    return out / rho.sum()
+
+
+class _Gathered:
+    """The grouped factors as first written: every factor gathers its weight
+    rows (``np.arange`` over all classes or a level's siblings, the word ids
+    of a class or leaf) into a copy before its gemv."""
+
+    def _add_word_block(self, group, rows, dy, state):
+        block = self._blocks.get(group)
+        if block is None:
+            self._blocks[group] = [rows, np.outer(dy, state), dy]
+        else:
+            block[1] += np.outer(dy, state)
+            block[2] += dy
+
+    def grads(self) -> Gradients:
+        out = Gradients(self._g)
+        blocks = list(self._blocks.values())
+        rows = np.concatenate([np.zeros(0, np.int64)] + [b[0] for b in blocks])
+        out.set_rows("w_word", rows, np.concatenate(
+            [np.zeros((0, self.w_word.shape[1]))] + [b[1] for b in blocks]))
+        if self.b_word is not None:
+            out.set_rows("b_word", rows, np.concatenate(
+                [np.zeros(0)] + [b[2] for b in blocks]))
+        return out
+
+    def word_rows(self, targets) -> np.ndarray:
+        group_of, bounds, order, least = self._word_blocks()
+        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
+        lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
+        lo, size = lo[size >= least], size[size >= least]
+        starts = np.repeat(lo - (np.cumsum(size) - size), size)
+        return order[starts + np.arange(size.sum())]
+
+    def _factor(self, weights, bias, rows, state, hit, accumulate):
+        w = weights[rows]
+        y = w @ state
+        if bias is not None:
+            y = y + bias[rows]
+        logp = log_softmax(y)
+        if not accumulate:
+            return float(logp[hit]), None
+        dy = np.exp(logp)
+        dy[hit] -= 1.0
+        d_state = w.T @ dy
+        return float(logp[hit]), (dy, d_state)
+
+
+class _GatheredClass(_Gathered, ClassSoftmax):
+    def _pieces(self, target):
+        a = self.assignment
+        if not 0 <= target < a.k:
+            raise ValueError(f"word {target} has no class assignment")
+        c = int(a.class_of[target])
+        lo, hi = a.bounds[c], a.bounds[c + 1]
+        rows = a.order[lo:hi]
+        return c, rows, int(a.position[target] - lo)
+
+    def factor_logprobs(self, state, target):
+        c, rows, slot = self._pieces(target)
+        lp_c, _ = self._factor(self.w_class, self.b_class,
+                               np.arange(self.assignment.r), state, c, False)
+        lp_w, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
+        return lp_c, lp_w
+
+    def logprob(self, state, x, target) -> float:
+        lp_c, lp_w = self.factor_logprobs(state, target)
+        return lp_c + lp_w
+
+    def logprob_grad(self, state, x, target):
+        c, rows, slot = self._pieces(target)
+        all_classes = np.arange(self.assignment.r)
+        lp_c, (dy_c, ds_c) = self._factor(self.w_class, self.b_class,
+                                          all_classes, state, c, True)
+        lp_w, (dy_w, ds_w) = self._factor(self.w_word, self.b_word,
+                                          rows, state, slot, True)
+        self._g["w_class"] += np.outer(dy_c, state)
+        if self.b_class is not None:
+            self._g["b_class"] += dy_c
+        self._add_word_block(c, rows, dy_w, state)
+        return lp_c + lp_w, ds_c + ds_w, None
+
+
+class _GatheredHier(_Gathered, HierarchicalSoftmax):
+    def _path(self, target):
+        code = self.code
+        if not 0 <= target < code.k:
+            raise ValueError(f"word {target} has no hierarchical code")
+        path = []
+        for j in range(code.depth):
+            g = int(code.group_of[j][target])
+            if j == 0:
+                lo, hi = 0, len(code.levels[0]) - 1
+            else:
+                parent = int(code.group_of[j - 1][target])
+                lo = int(code.child_lo[j - 1][parent])
+                hi = int(code.child_lo[j - 1][parent + 1])
+            path.append((j, np.arange(lo, hi), g - lo))
+        leaf = int(code.group_of[-1][target])
+        wlo, whi = code.levels[-1][leaf], code.levels[-1][leaf + 1]
+        rows = code.order[wlo:whi]
+        slot = int(code.position[target] - wlo)
+        return path, rows, slot
+
+    def logprob(self, state, x, target) -> float:
+        path, rows, slot = self._path(target)
+        total = 0.0
+        for j, groups, hit in path:
+            b = None if self.level_b is None else self.level_b[j]
+            lp, _ = self._factor(self.level_w[j], b, groups, state, hit, False)
+            total += lp
+        if len(rows) > 1:
+            lp, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
+            total += lp
+        return total
+
+    def logprob_grad(self, state, x, target):
+        path, rows, slot = self._path(target)
+        leaf = int(self.code.group_of[-1][target])
+        total = 0.0
+        d_state = np.zeros_like(state)
+        for j, groups, hit in path:
+            b = None if self.level_b is None else self.level_b[j]
+            lp, (dy, ds) = self._factor(self.level_w[j], b, groups, state, hit, True)
+            total += lp
+            d_state += ds
+            self._g[f"w_level{j + 1}"][groups] += np.outer(dy, state)
+            if self.level_b is not None:
+                self._g[f"b_level{j + 1}"][groups] += dy
+        if len(rows) > 1:
+            lp, (dy, ds) = self._factor(self.w_word, self.b_word, rows, state, slot, True)
+            total += lp
+            d_state += ds
+            self._add_word_block(leaf, rows, dy, state)
+        return total, d_state, None
+
+
+def class_reference(strategy):
+    """A class or hierarchical layer over the same weights whose factors
+    gather their rows into copies, as the layers were first written: the
+    reference for the layers that read their weights in place."""
+    if isinstance(strategy, ClassSoftmax):
+        return _GatheredClass(strategy.assignment, strategy.w_class,
+                              strategy.w_word, strategy.b_class, strategy.b_word)
+    return _GatheredHier(strategy.code, strategy.level_w, strategy.w_word,
+                         strategy.level_b, strategy.b_word)

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (GRADIENT_CONFIGS, check_model_gradients, dense,
-                     effective_sample_size, example_gradient, fnn_forward,
-                     make_model, rnn_step)
-from nnlm.caching import CacheConfig, WordCache, cache_distribution
+from helpers import (GRADIENT_CONFIGS, cache_distribution,
+                     check_model_gradients, dense, effective_sample_size,
+                     example_gradient, fnn_forward, make_model, rnn_step)
+from nnlm.caching import CacheConfig, WordCache
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from nnlm.caching import (CacheConfig, WordCache, cache_distribution,
-                          cache_probability, carryover_initial_state,
-                          class_cache_probability, interpolate)
+from helpers import DequeCache, cache_distribution, deque_cache_probability
+from nnlm import caching
+from nnlm.caching import (CacheConfig, WordCache, cache_probability,
+                          carryover_initial_state, class_cache_probability,
+                          interpolate)
 from nnlm.models import HiddenState
 from nnlm.numerics import make_rng
 
@@ -22,6 +24,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(lam=-0.1), dict(lam=1.5), dict(length=0),
         dict(decay="quadratic"), dict(mode="sentence"),
+        dict(gamma=float("nan")), dict(gamma=7.0), dict(gamma=0.0),
+        dict(gamma=-0.5), dict(gamma=float("inf")),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -41,6 +45,41 @@ class TestWordCache:
         cache = filled([1, 2])
         cache.clear()
         assert len(cache) == 0
+
+
+class TestRingMatchesDeque:
+    @pytest.mark.parametrize("decay", ["constant", "linear", "exponential"])
+    @pytest.mark.parametrize("length", [1, 7, 500])
+    def test_bit_identical_at_every_fill_level(self, decay, length):
+        """The array ring and its probabilities equal the deque reference
+        (``==``) before every push, through more than 2N pushes (the run
+        reaches the buffer's front and moves back to its end) and a clear()
+        mid-stream."""
+        cfg = CacheConfig(decay=decay, gamma=0.83, length=length)
+        ring, ref = WordCache(length), DequeCache(length)
+        rng = make_rng(length)
+        stream = rng.zipf(1.6, size=2 * length + 40) % 50
+        clear_at = length + 3
+        fills = set()
+        for step, w in enumerate(stream.tolist()):
+            if step == clear_at:
+                ring.clear()
+                ref.clear()
+            fills.add(len(ring))
+            assert len(ring) == len(ref)
+            assert ring.entries() == ref.entries()
+            for index in set(ref.entries()[:5]) | {w, 50}:
+                assert (cache_probability(ring, index, cfg)
+                        == deque_cache_probability(ref, index, cfg))
+            ring.push(w)
+            ref.push(w)
+        assert fills == set(range(length + 1))
+
+    def test_memo_is_bounded_and_read_only(self):
+        rho, total = caching._rho(4, "linear", 0.9)
+        assert not rho.flags.writeable
+        assert total == rho.sum()
+        assert caching._rho.cache_info().maxsize is not None
 
 
 class TestCacheProbability:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +19,7 @@ from nnlm.config import (ConfigError, RunConfig, parse_config,
 from nnlm.corpus import build_vocabulary
 from nnlm.models import model_arrays
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TEXT = """the cat sat on the mat
 the dog sat on the log
@@ -353,6 +358,7 @@ class TestExitCodes:
         "model.m = 0", "model.n_h = 0", "output.classes = -3",
         "output.levels = 0",
         "output.strategy = hier\noutput.assign = freq\noutput.levels = 3",
+        "eval.alpha_dyn = -1.0", "eval.alpha_dyn = nan", "eval.beta_dyn = 1.0",
     ])
     def test_nonsense_training_setting_exits_2(self, setting, tmp_path,
                                                capsys):
@@ -375,7 +381,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         "cache.lambda = 1.5", "cache.lambda = -0.5", "cache.length = 0",
-        "cache.decay = cubic", "cache.mode = bigram",
+        "cache.decay = cubic", "cache.mode = bigram", "cache.gamma = nan",
+        "cache.gamma = 7.0",
     ])
     def test_nonsense_cache_setting_exits_2(self, setting, tmp_path, capsys):
         """Every cache key is checked with the configuration, also while
@@ -394,8 +401,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--cache-lambda", "-0.5"], ["--cache-lambda", "1.5"],
-        ["--cache-length", "0"],
-    ], ids=["lambda-negative", "lambda-above-one", "length-zero"])
+        ["--cache-length", "0"], ["--gamma", "nan"], ["--gamma", "7"],
+        ["--gamma", "0"], ["--gamma", "-0.5"],
+    ], ids=["lambda-negative", "lambda-above-one", "length-zero", "gamma-nan",
+            "gamma-above-one", "gamma-zero", "gamma-negative"])
     def test_nonsense_cache_flag_exits_2(self, flags, corpus, tmp_path,
                                          capsys):
         """``nnlm eval`` checks the configuration again once its flags
@@ -408,6 +417,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("configuration error: cache: ")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha-dyn", "-1"), ("--alpha-dyn", "nan"), ("--alpha-dyn", "inf"),
+        ("--beta-dyn", "1"), ("--beta-dyn", "-0.1"), ("--beta-dyn", "nan"),
+    ])
+    def test_nonsense_dynamic_flag_exits_2(self, flag, value, corpus, tmp_path,
+                                           capsys):
+        """A negative or non-finite dynamic learning rate, or a dynamic decay
+        outside [0, 1), is a configuration error that names the key, not a
+        score."""
+        cfg = small_config(corpus)
+        vocab = build_vocabulary([["a", "b", "c"]])
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, *build_model(cfg, vocab))
+        assert run_cli("eval", path, corpus, "--mode", "dynamic", flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        key = "eval." + flag[2:].replace("-", "_")
+        assert err.startswith(f"configuration error: {key} ")
+
+    def test_nan_perplexity_exits_1(self, corpus, tmp_path, capsys):
+        """A model whose scores are NaN reports no perplexity."""
+        cfg = small_config(corpus)
+        vocab = build_vocabulary([["the", "cat"]])
+        core, strategy, partition = build_model(cfg, vocab)
+        strategy.w_out[:] = np.nan
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, core, strategy, partition)
+        assert run_cli("eval", path, corpus) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: perplexity is not finite")
+
+    def test_module_run_prints_one_error_line(self, corpus, tmp_path):
+        """``python -m nnlm.cli`` prints only its own error, with no runpy
+        warning before it."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nnlm.cli", "eval",
+             str(tmp_path / "missing.nnlm"), str(corpus)],
+            capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ")
 
     def test_more_classes_than_words_exits_2(self, corpus, tmp_path, capsys):
         cfg = small_config(corpus, strategy="class", classes=500)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from helpers import make_model
+from nnlm.artifact import build_model
 from nnlm.caching import CacheConfig
+from nnlm.config import RunConfig
 from nnlm.corpus import build_vocabulary
 from nnlm.evaluation import (EvalReport, perplexity, report_from_log2,
                              reverse_sentences)
 from nnlm.models import RnnCore, RnnParameters, model_arrays
 from nnlm.numerics import make_rng
+from nnlm.training import train_epoch
 
 
 def tiny_vocab(sentences=None):
@@ -138,6 +141,17 @@ class TestCacheInterpolation:
                          cache=CacheConfig(lam=0.5, mode="class"))
         assert cls.log2_total == pytest.approx(word.log2_total, abs=1e-10)
 
+    def test_cache_longer_than_the_text_scores_as_a_full_one(self):
+        """A cache.length far beyond the scored tokens allocates nothing of
+        that size and scores as any length that never fills."""
+        core, strategy = make_model("rnn", seed=5)
+        vocab = tiny_vocab()
+        sents = [["a", "b", "a"], ["b", "a", "c", "a"]]
+        reps = [perplexity(core, strategy, sents, vocab,
+                           cache=CacheConfig(lam=0.5, length=n, decay="linear"))
+                for n in (9, 10 ** 15)]
+        assert reps[0].sentence_log2 == reps[1].sentence_log2
+
     def test_class_cache_requires_class_strategy(self):
         vocab = tiny_vocab()
         core, strategy = uniform_model(vocab)
@@ -189,6 +203,11 @@ class TestReports:
         with pytest.raises(ValueError):
             report_from_log2([], 0)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("-inf"), float("inf")])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            report_from_log2([total], 3)
+
     def test_report_round_numbers(self):
         rep = report_from_log2([-2.0, -2.0], 4)
         assert rep.ppl == pytest.approx(2.0)
@@ -198,3 +217,49 @@ class TestReports:
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == ["tokens", "log2_total", "ppl", "words_per_s"]
         assert lines[1].split("\t")[0] == "10"
+
+
+def pinned_corpus():
+    """(train, valid, test, test doc ids): 25 Zipf-like sentences over 30
+    words, the test split in three documents."""
+    rng = make_rng(17)
+    words = [f"w{i}" for i in range(30)]
+    p = 1.0 / np.arange(1, 31)
+    p /= p.sum()
+    sents = [[words[i] for i in rng.choice(30, size=int(rng.integers(3, 9)), p=p)]
+             for _ in range(25)]
+    return sents[:10], sents[10:13], sents[13:], [0] * 5 + [1] * 4 + [2] * 3
+
+
+PINNED_CACHES = {
+    "word": CacheConfig(lam=0.7, length=7, decay="exponential", gamma=0.8),
+    "class": CacheConfig(lam=0.6, length=5, decay="linear", mode="class"),
+    "class_constant": CacheConfig(lam=0.8, length=9, mode="class"),
+}
+
+# static and cached test PPLs of the model below, recorded with the deque
+# cache and the gathered class factors; regenerating them changes a check
+PINNED_PPL = {
+    "static": 16.988987660410146,
+    "word": 15.084087182578207,
+    "class": 18.770313453789878,
+    "class_constant": 17.225291202718847,
+}
+
+
+def test_trained_class_rnn_ppls_are_pinned():
+    """A seeded class RNN trained on 10 sentences with weight decay (the lazy
+    path) scores the test split statically and through word and class caches
+    with carryover as it did when the values were recorded."""
+    train, valid, test, doc_ids = pinned_corpus()
+    vocab = build_vocabulary(train)
+    cfg = RunConfig(arch="rnn", strategy="class", assign="sqrt_freq", m=5,
+                    n_h=13, bias=True, alpha=0.3, beta=0.01, seed=4)
+    core, strategy, _ = build_model(cfg, vocab)
+    tc = cfg.training_config()
+    train_epoch(core, strategy, train, valid, vocab, tc, make_rng(tc.seed), tc.alpha)
+    got = {"static": perplexity(core, strategy, test, vocab).ppl}
+    for name, cache in PINNED_CACHES.items():
+        got[name] = perplexity(core, strategy, test, vocab, cache=cache,
+                               carryover=True, doc_ids=doc_ids).ppl
+    assert got == pytest.approx(PINNED_PPL, rel=1e-12, abs=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import full_softmax_token_reference
+from helpers import class_reference, full_softmax_token_reference
 from nnlm.corpus import build_vocabulary
 from nnlm.numerics import init_matrix, make_rng
 from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
@@ -294,3 +294,84 @@ class TestScoreSentence:
             assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
         static = [strategy.logprob(s, x, w) for s, x, w in zip(states, xs, targets)]
         assert strategy.score_sentence(states, xs, targets)[0].tolist() == static
+
+
+def zipf_vocab(seed=3, n_words=60, n_sents=80):
+    """A vocabulary with its three marks, over Zipf-like sentences."""
+    rng = make_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    p = 1.0 / np.arange(1, n_words + 1)
+    p /= p.sum()
+    return build_vocabulary([
+        [words[i] for i in rng.choice(n_words, size=int(rng.integers(2, 12)), p=p)]
+        for _ in range(n_sents)])
+
+
+def in_place_layers():
+    """(name, layer) over a vocabulary with marks: sqrt-frequency classes and
+    a depth-1 hierarchy over them (mostly runs of word ids, so slices), a
+    uniform random assignment and a depth-3 random hierarchy with one-word
+    leaves (gathers), each with and without biases, at n_h = 13."""
+    vocab = zipf_vocab()
+    k = vocab.size
+    out = []
+    for bias in (False, True):
+        rng = make_rng(40 + bias)
+        sqrt = assign_by_sqrt_frequency(vocab, 8)
+        layers = {
+            "sqrt_freq": ClassSoftmax.create(sqrt, 13, rng, bias=bias),
+            "uniform": ClassSoftmax.create(assign_uniform_random(k, 7, rng), 13,
+                                           rng, bias=bias),
+            "hier_depth1": HierarchicalSoftmax.create(hierarchy_from_classes(sqrt),
+                                                      13, rng, bias=bias),
+            "hier_depth3": HierarchicalSoftmax.create(
+                hierarchy_uniform_random(k, 3, rng, branching=4), 13, rng,
+                bias=bias),
+        }
+        for name, layer in layers.items():
+            for key, a in layer.params().items():
+                if key.startswith("b_"):
+                    a[:] = rng.normal(size=a.shape)
+            out.append((f"{name}-{'bias' if bias else 'nobias'}", layer))
+    return out
+
+
+IN_PLACE = dict(in_place_layers())
+
+
+class TestInPlaceReads:
+    """Factors that read their weight rows in place score, differentiate and
+    report rows bit for bit as the gathered factors they replaced."""
+
+    def test_sqrt_frequency_layer_has_slice_and_gather_blocks(self):
+        kinds = {type(r) for r in IN_PLACE["sqrt_freq-nobias"]._readers}
+        assert kinds == {slice, np.ndarray}
+        depth3 = IN_PLACE["hier_depth3-nobias"]
+        assert 1 in np.diff(depth3.code.levels[-1])    # a leaf without word factor
+
+    @pytest.mark.parametrize("name,layer", IN_PLACE.items(), ids=list(IN_PLACE))
+    def test_matches_gathered_reference(self, name, layer):
+        ref = class_reference(layer)
+        k = layer.k
+        rng = make_rng(50)
+        targets = np.concatenate([rng.permutation(k), rng.integers(0, k, size=30)])
+        states = rng.normal(size=(len(targets), 13))
+        for s, w in zip(states, targets.tolist()):
+            if isinstance(layer, ClassSoftmax):
+                assert layer.factor_logprobs(s, w) == ref.factor_logprobs(s, w)
+            assert layer.logprob(s, None, w) == ref.logprob(s, None, w)
+        layer.zero_grads()
+        ref.zero_grads()
+        for s, w in zip(states, targets.tolist()):
+            lp, ds, _ = layer.logprob_grad(s, None, w)
+            lp_ref, ds_ref, _ = ref.logprob_grad(s, None, w)
+            assert lp == lp_ref
+            assert ds.tobytes() == ds_ref.tobytes()
+        got, want = layer.grads(), ref.grads()
+        assert list(got) == list(want) and got.rows.keys() == want.rows.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for key in want.rows:
+            assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
+        few = targets[:9]
+        assert layer.word_rows(few).tobytes() == ref.word_rows(few).tobytes()
