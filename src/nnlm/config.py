@@ -84,7 +84,8 @@ class RunConfig:
         if self.arch == "fnn" and self.n < 2:
             raise ConfigError("model.n must be >= 2 for the feed-forward model")
         minima = (("model.m", self.m, 1), ("model.n_h", self.n_h, 1),
-                  ("output.classes", self.classes, 0), ("output.levels", self.levels, 1))
+                  ("output.classes", self.classes, 0), ("output.levels", self.levels, 1),
+                  ("corpus.n_valid", self.n_valid, 1))
         for key, value, least in minima:
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")

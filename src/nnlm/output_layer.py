@@ -1,11 +1,11 @@
 """Output strategies: full softmax, class-factored softmax, and multi-level
 hierarchical decomposition, plus the class-assignment rules.
 
-Assignments keep every class contiguous in a stored word ordering; a factor
-reads its weight rows in place where they form one run and gathers them
-otherwise.  The class and hierarchical layers keep the word-factor gradients
-(``w_word``, ``b_word``) row-compact, one block per class or leaf a sentence
-hit (see ``numerics.Gradients``).
+Assignments keep every class contiguous in a stored word ordering.  The
+class layer is the depth-1 hierarchical one; its factors read weight rows
+in place where they form one run and gather them otherwise, and keep the
+word-factor gradients (``w_word``, ``b_word``) row-compact, one block per
+class or leaf a sentence hit (see ``numerics.Gradients``).
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = No
 
 def hierarchy_from_classes(assignment: ClassAssignment) -> HierarchicalCode:
     """Depth-1 hierarchy structurally identical to a flat class partition."""
-    return HierarchicalCode(assignment.order.copy(), [assignment.bounds.copy()])
+    return HierarchicalCode(assignment.order.copy(), [assignment.bounds.copy()],
+                            assignment.position.copy(), assignment.class_of[None].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -307,172 +308,16 @@ class FullSoftmax:
         return logps, dY @ self.w_out, d_x
 
 
-class _Grouped:
-    """Shared machinery for strategies built from contiguous group softmaxes."""
-
-    def params(self) -> Arrays:
-        raise NotImplementedError
-
-    def zero_grads(self):
-        self._g = {name: np.zeros_like(a) for name, a in self.params().items()
-                   if name not in ("w_word", "b_word")}
-        self._blocks = {}   # group -> [word ids, w_word block, b_word block]
-
-    def _add_word_block(self, group, dy, state):
-        """Accumulate the word-factor gradient of one class or leaf."""
-        block = self._blocks.get(group)
-        if block is None:
-            _, bounds, order, _ = self._word_blocks()
-            rows = order[bounds[group]:bounds[group + 1]]
-            self._blocks[group] = [rows, np.outer(dy, state), dy]
-        else:
-            block[1] += np.outer(dy, state)
-            block[2] += dy
-
-    def grads(self) -> Gradients:
-        """Dense gradients for the group factors; ``w_word`` and ``b_word``
-        row-compact over the words of every group hit since ``zero_grads``
-        (groups are disjoint, so the rows are distinct)."""
-        out = Gradients(self._g)
-        blocks = list(self._blocks.values())
-        rows = np.concatenate([np.zeros(0, np.int64)] + [b[0] for b in blocks])
-        out.set_rows("w_word", rows, np.concatenate(
-            [np.zeros((0, self.w_word.shape[1]))] + [b[1] for b in blocks]))
-        if self.b_word is not None:
-            out.set_rows("b_word", rows, np.concatenate(
-                [np.zeros(0)] + [b[2] for b in blocks]))
-        return out
-
-    def word_rows(self, targets) -> np.ndarray:
-        """The ``w_word`` rows that scoring ``targets`` reads: every word of
-        each class or leaf they fall in, which are the rows ``grads()`` then
-        holds."""
-        group_of, bounds, order, least = self._word_blocks()
-        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
-        lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
-        lo, size = lo[size >= least], size[size >= least]
-        starts = np.repeat(lo - (np.cumsum(size) - size), size)
-        return order[starts + np.arange(size.sum())]
-
-    @cached_property
-    def _readers(self) -> list:
-        """Per class or leaf, the index that reads its ``w_word`` rows: a
-        slice when its word ids form one run, else the ids."""
-        _, bounds, order, _ = self._word_blocks()
-        blocks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return [slice(int(b[0]), int(b[-1]) + 1) if len(b) and np.all(np.diff(b) == 1)
-                else b for b in blocks]
-
-    def _factor(self, weights, bias, rows, state, hit, accumulate):
-        """log-softmax factor over `rows` (a slice read in place, or ids that
-        gather a copy) of a weight matrix at position `hit`."""
-        w = weights[rows]
-        y = w @ state
-        if bias is not None:
-            y = y + bias[rows]
-        logp = log_softmax(y)
-        if not accumulate:
-            return float(logp[hit]), None
-        dy = np.exp(logp)
-        dy[hit] -= 1.0
-        d_state = w.T @ dy
-        return float(logp[hit]), (dy, d_state)
-
-    def log_probs(self, state, x=None) -> np.ndarray:
-        return np.array([self.logprob(state, x, w) for w in range(self.k)])
-
-    def score_sentence(self, states, xs, targets, grad=False):
-        """``FullSoftmax.score_sentence`` as a loop over ``logprob`` or, after
-        ``zero_grads``, ``logprob_grad``: each position's arithmetic is that
-        of single-token scoring.  ``d_inputs`` is always None."""
-        targets = [int(w) for w in targets]
-        if not grad:
-            return np.array([self.logprob(s, None, w)
-                             for s, w in zip(states, targets)]), None, None
-        self.zero_grads()
-        steps = [self.logprob_grad(s, None, w) for s, w in zip(states, targets)]
-        return (np.array([lp for lp, _, _ in steps]),
-                np.array([ds for _, ds, _ in steps]), None)
-
-
-class ClassSoftmax(_Grouped):
-    """Two-factor softmax: class given history, then word within its class."""
-
-    def __init__(self, assignment: ClassAssignment, w_class, w_word,
-                 b_class=None, b_word=None):
-        self.assignment = assignment
-        self.w_class = w_class
-        self.w_word = w_word
-        self.b_class = b_class
-        self.b_word = b_word
-        self.zero_grads()
-
-    @classmethod
-    def create(cls, assignment, n_h, rng, bias=False):
-        k, r = assignment.k, assignment.r
-        return cls(
-            assignment,
-            init_matrix(r, n_h, rng),
-            init_matrix(k, n_h, rng),
-            np.zeros(r) if bias else None,
-            np.zeros(k) if bias else None,
-        )
-
-    @property
-    def k(self):
-        return self.assignment.k
-
-    def params(self) -> Arrays:
-        out = {"w_class": self.w_class, "w_word": self.w_word}
-        if self.b_class is not None:
-            out["b_class"] = self.b_class
-        if self.b_word is not None:
-            out["b_word"] = self.b_word
-        return out
-
-    def _word_blocks(self):
-        """(group of each word, group offsets into the word order, the word
-        order, the fewest words a group's word factor needs)."""
-        a = self.assignment
-        return a.class_of, a.bounds, a.order, 1
-
-    def _pieces(self, target):
-        a = self.assignment
-        if not 0 <= target < a.k:
-            raise ValueError(f"word {target} has no class assignment")
-        c = int(a.class_of[target])
-        return c, self._readers[c], int(a.position[target] - a.bounds[c])
-
-    def factor_logprobs(self, state, target):
-        """(log P(class|h), log P(word|class,h)) without touching gradients."""
-        c, rows, slot = self._pieces(target)
-        lp_c, _ = self._factor(self.w_class, self.b_class, slice(None), state, c, False)
-        lp_w, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
-        return lp_c, lp_w
-
-    def logprob(self, state, x, target) -> float:
-        lp_c, lp_w = self.factor_logprobs(state, target)
-        return lp_c + lp_w
-
-    def logprob_grad(self, state, x, target):
-        c, rows, slot = self._pieces(target)
-        lp_c, (dy_c, ds_c) = self._factor(self.w_class, self.b_class,
-                                          slice(None), state, c, True)
-        lp_w, (dy_w, ds_w) = self._factor(self.w_word, self.b_word,
-                                          rows, state, slot, True)
-        self._g["w_class"] += np.outer(dy_c, state)
-        if self.b_class is not None:
-            self._g["b_class"] += dy_c
-        self._add_word_block(c, dy_w, state)
-        return lp_c + lp_w, ds_c + ds_w, None
-
-
-class HierarchicalSoftmax(_Grouped):
-    """Product of per-level branch softmaxes down to a word-in-leaf softmax.
+class HierarchicalSoftmax:
+    """Product of per-level branch softmaxes down to a word-in-leaf softmax
+    (Morin & Bengio 2005): the one grouped engine, of which a flat class
+    layer is the depth-1 case.
 
     Every internal node owns its own rows of the level matrix, so node
     parameters are independent blocks conditioned on the path.
     """
+
+    least = 2   # a leaf of fewer words has no word factor
 
     def __init__(self, code: HierarchicalCode, level_w: list, w_word,
                  level_b: list | None = None, b_word=None):
@@ -499,68 +344,186 @@ class HierarchicalSoftmax(_Grouped):
     def k(self):
         return self.code.k
 
+    def _names(self, j):
+        """The ``params()`` keys of level j's matrix and bias."""
+        return f"w_level{j + 1}", f"b_level{j + 1}"
+
     def params(self) -> Arrays:
-        out = {f"w_level{j + 1}": w for j, w in enumerate(self.level_w)}
+        names = [self._names(j) for j in range(self.code.depth)]
+        out = {w: a for (w, _), a in zip(names, self.level_w)}
         out["w_word"] = self.w_word
         if self.level_b is not None:
-            out.update({f"b_level{j + 1}": b for j, b in enumerate(self.level_b)})
+            out.update({b: a for (_, b), a in zip(names, self.level_b)})
         if self.b_word is not None:
             out["b_word"] = self.b_word
         return out
 
+    def zero_grads(self):
+        self._g = {name: np.zeros_like(a) for name, a in self.params().items()
+                   if name not in ("w_word", "b_word")}
+        self._blocks = {}   # leaf -> [word ids, w_word block, b_word block]
+
     def _word_blocks(self):
-        # a leaf of one word has no word factor
+        """(leaf of each word, leaf offsets into the word order, the word
+        order, the fewest words a leaf's word factor needs)."""
         code = self.code
-        return code.group_of[-1], code.levels[-1], code.order, 2
+        return code.group_of[-1], code.levels[-1], code.order, self.least
+
+    def _add_word_block(self, leaf, dy, state):
+        """Accumulate the word-factor gradient of one leaf."""
+        block = self._blocks.get(leaf)
+        if block is None:
+            lo, hi = self.code.levels[-1][leaf:leaf + 2]
+            self._blocks[leaf] = [self.code.order[lo:hi], np.outer(dy, state), dy]
+        else:
+            block[1] += np.outer(dy, state)
+            block[2] += dy
+
+    def grads(self) -> Gradients:
+        """Dense gradients for the level factors; ``w_word`` and ``b_word``
+        row-compact over the words of every leaf hit since ``zero_grads``
+        (leaves are disjoint, so the rows are distinct)."""
+        out = Gradients(self._g)
+        blocks = list(self._blocks.values())
+        rows = np.concatenate([np.zeros(0, np.int64)] + [b[0] for b in blocks])
+        out.set_rows("w_word", rows, np.concatenate(
+            [np.zeros((0, self.w_word.shape[1]))] + [b[1] for b in blocks]))
+        if self.b_word is not None:
+            out.set_rows("b_word", rows, np.concatenate(
+                [np.zeros(0)] + [b[2] for b in blocks]))
+        return out
+
+    def word_rows(self, targets) -> np.ndarray:
+        """The ``w_word`` rows that scoring ``targets`` reads: every word of
+        each leaf with a word factor they fall in, which are the rows
+        ``grads()`` then holds."""
+        group_of, bounds, order, least = self._word_blocks()
+        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
+        lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
+        lo, size = lo[size >= least], size[size >= least]
+        starts = np.repeat(lo - (np.cumsum(size) - size), size)
+        return order[starts + np.arange(size.sum())]
+
+    @cached_property
+    def _readers(self) -> list:
+        """Per leaf, the index that reads its ``w_word`` rows: a slice when
+        its word ids form one run, else the ids."""
+        _, bounds, order, _ = self._word_blocks()
+        blocks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [slice(int(b[0]), int(b[-1]) + 1) if len(b) and np.all(np.diff(b) == 1)
+                else b for b in blocks]
+
+    def _factor(self, weights, bias, rows, state, hit, accumulate):
+        """log-softmax factor over `rows` (a slice read in place, or ids that
+        gather a copy) of a weight matrix at position `hit`."""
+        w = weights[rows]
+        y = w @ state
+        if bias is not None:
+            y = y + bias[rows]
+        logp = log_softmax(y)
+        if not accumulate:
+            return float(logp[hit]), None
+        dy = np.exp(logp)
+        dy[hit] -= 1.0
+        d_state = w.T @ dy
+        return float(logp[hit]), (dy, d_state)
 
     def _path(self, target):
+        """([(level, siblings, branch)], leaf, leaf size, slot in the leaf)."""
         code = self.code
         if not 0 <= target < code.k:
             raise ValueError(f"word {target} has no hierarchical code")
+        groups = code.group_of[:, target].tolist()
         path = []
-        for j in range(code.depth):
-            g = int(code.group_of[j][target])
+        for j, g in enumerate(groups):
             if j == 0:
                 lo, hi = 0, len(code.levels[0]) - 1
             else:
-                parent = int(code.group_of[j - 1][target])
-                lo = int(code.child_lo[j - 1][parent])
-                hi = int(code.child_lo[j - 1][parent + 1])
+                parent = groups[j - 1]
+                lo, hi = code.child_lo[j - 1][parent:parent + 2].tolist()
             path.append((j, slice(lo, hi), g - lo))
-        leaf = int(code.group_of[-1][target])
-        wlo, whi = code.levels[-1][leaf], code.levels[-1][leaf + 1]
-        slot = int(code.position[target] - wlo)
-        return path, leaf, whi - wlo, slot
+        leaf = groups[-1]
+        wlo, whi = code.levels[-1][leaf:leaf + 2].tolist()
+        return path, leaf, whi - wlo, int(code.position[target]) - wlo
+
+    def _walk(self, state, target, accumulate):
+        """(path log-prob, word log-prob, d_state); a leaf without a word
+        factor gives log 1 = 0.  ``accumulate`` adds the gradients to
+        ``grads()``, else d_state is None.  Sums start from their first term,
+        so depth 1 gives exactly lp_c + lp_w and ds_c + ds_w."""
+        path, leaf, size, slot = self._path(target)
+        lp_path = d_state = None
+        for j, groups, hit in path:
+            b = None if self.level_b is None else self.level_b[j]
+            lp, step = self._factor(self.level_w[j], b, groups, state, hit, accumulate)
+            lp_path = lp if lp_path is None else lp_path + lp
+            if accumulate:
+                dy, ds = step
+                d_state = ds if d_state is None else d_state + ds
+                w_name, b_name = self._names(j)
+                self._g[w_name][groups] += np.outer(dy, state)
+                if b is not None:
+                    self._g[b_name][groups] += dy
+        lp_word = 0.0
+        if size >= self.least:
+            lp_word, step = self._factor(self.w_word, self.b_word, self._readers[leaf],
+                                         state, slot, accumulate)
+            if accumulate:
+                dy, ds = step
+                d_state = d_state + ds
+                self._add_word_block(leaf, dy, state)
+        return lp_path, lp_word, d_state
+
+    def factor_logprobs(self, state, target):
+        """(path log-prob, word log-prob) without touching gradients; for a
+        class layer, (log P(class|h), log P(word|class,h))."""
+        lp_path, lp_word, _ = self._walk(state, target, False)
+        return lp_path, lp_word
 
     def logprob(self, state, x, target) -> float:
-        path, leaf, size, slot = self._path(target)
-        total = 0.0
-        for j, groups, hit in path:
-            b = None if self.level_b is None else self.level_b[j]
-            lp, _ = self._factor(self.level_w[j], b, groups, state, hit, False)
-            total += lp
-        if size > 1:
-            lp, _ = self._factor(self.w_word, self.b_word, self._readers[leaf],
-                                 state, slot, False)
-            total += lp
-        return total
+        lp_path, lp_word = self.factor_logprobs(state, target)
+        return lp_path + lp_word
 
     def logprob_grad(self, state, x, target):
-        path, leaf, size, slot = self._path(target)
-        total = 0.0
-        d_state = np.zeros_like(state)
-        for j, groups, hit in path:
-            b = None if self.level_b is None else self.level_b[j]
-            lp, (dy, ds) = self._factor(self.level_w[j], b, groups, state, hit, True)
-            total += lp
-            d_state += ds
-            self._g[f"w_level{j + 1}"][groups] += np.outer(dy, state)
-            if self.level_b is not None:
-                self._g[f"b_level{j + 1}"][groups] += dy
-        if size > 1:
-            lp, (dy, ds) = self._factor(self.w_word, self.b_word, self._readers[leaf],
-                                        state, slot, True)
-            total += lp
-            d_state += ds
-            self._add_word_block(leaf, dy, state)
-        return total, d_state, None
+        lp_path, lp_word, d_state = self._walk(state, target, True)
+        return lp_path + lp_word, d_state, None
+
+    def log_probs(self, state, x=None) -> np.ndarray:
+        return np.array([self.logprob(state, x, w) for w in range(self.k)])
+
+    def score_sentence(self, states, xs, targets, grad=False):
+        """``FullSoftmax.score_sentence`` as a loop over ``logprob`` or, after
+        ``zero_grads``, ``logprob_grad``: each position's arithmetic is that
+        of single-token scoring.  ``d_inputs`` is always None."""
+        targets = [int(w) for w in targets]
+        if not grad:
+            return np.array([self.logprob(s, None, w)
+                             for s, w in zip(states, targets)]), None, None
+        self.zero_grads()
+        steps = [self.logprob_grad(s, None, w) for s, w in zip(states, targets)]
+        return (np.array([lp for lp, _, _ in steps]),
+                np.array([ds for _, ds, _ in steps]), None)
+
+
+class ClassSoftmax(HierarchicalSoftmax):
+    """Two-factor softmax (Goodman 2001): class given history, then word
+    within its class.  The depth-1 hierarchy over the assignment, whose
+    level is named ``w_class``/``b_class`` and whose one-word classes keep
+    a word factor (log 1 = 0) and their ``w_word`` rows."""
+
+    least = 1
+
+    def __init__(self, assignment: ClassAssignment, w_class, w_word,
+                 b_class=None, b_word=None):
+        self.assignment, self.w_class, self.b_class = assignment, w_class, b_class
+        super().__init__(hierarchy_from_classes(assignment), [w_class], w_word,
+                         None if b_class is None else [b_class], b_word)
+
+    @classmethod
+    def create(cls, assignment, n_h, rng, bias=False):
+        k, r = assignment.k, assignment.r
+        return cls(assignment, init_matrix(r, n_h, rng), init_matrix(k, n_h, rng),
+                   np.zeros(r) if bias else None, np.zeros(k) if bias else None)
+
+    def _names(self, j):
+        return "w_class", "b_class"

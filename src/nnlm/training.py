@@ -37,10 +37,20 @@ class TrainingConfig:
     max_samples: int = 2000       # past this, fall back to exact backpropagation
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"weight decay must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.alpha}")
+        if not 0 <= self.beta < 1:
+            raise ValueError(f"weight decay must be in [0, 1), got {self.beta}")
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"learning-rate decay must be in (0, 1], got {self.decay}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not math.isfinite(self.improve_threshold):
+            raise ValueError(f"improve threshold must be finite, got {self.improve_threshold}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.block_size < 1:
             raise ValueError(f"block size must be >= 1, got {self.block_size}")
         if self.mode not in ("exact", "importance"):

@@ -23,7 +23,7 @@ def load_tracer():
     return module.Tracer()
 
 
-@pytest.mark.parametrize("kind", ["class", "importance"])
+@pytest.mark.parametrize("kind", ["class", "hier", "importance"])
 def test_traced_epoch(kind):
     sents = [["green", "eggs", "and", "ham"], ["one", "fish", "two", "fish"]]
     vocab = build_vocabulary(sents + [[f"spare{i}" for i in range(20)]])

@@ -359,6 +359,10 @@ class TestExitCodes:
         "output.levels = 0",
         "output.strategy = hier\noutput.assign = freq\noutput.levels = 3",
         "eval.alpha_dyn = -1.0", "eval.alpha_dyn = nan", "eval.beta_dyn = 1.0",
+        "train.alpha = nan", "train.alpha = inf", "train.beta = inf",
+        "train.beta = 1.5", "train.decay = 0", "train.decay = 1.5",
+        "train.patience = 0", "train.max_epochs = 0", "train.improve = nan",
+        "train.seed = -1", "corpus.n_valid = 0",
     ])
     def test_nonsense_training_setting_exits_2(self, setting, tmp_path,
                                                capsys):

@@ -311,7 +311,9 @@ def in_place_layers():
     """(name, layer) over a vocabulary with marks: sqrt-frequency classes and
     a depth-1 hierarchy over them (mostly runs of word ids, so slices), a
     uniform random assignment and a depth-3 random hierarchy with one-word
-    leaves (gathers), each with and without biases, at n_h = 13."""
+    leaves (gathers), and random classes of which three hold one word (whose
+    word factor and ``w_word`` rows a class layer keeps), each with and
+    without biases, at n_h = 13."""
     vocab = zipf_vocab()
     k = vocab.size
     out = []
@@ -327,6 +329,9 @@ def in_place_layers():
             "hier_depth3": HierarchicalSoftmax.create(
                 hierarchy_uniform_random(k, 3, rng, branching=4), 13, rng,
                 bias=bias),
+            "one_word_classes": ClassSoftmax.create(
+                ClassAssignment(rng.permutation(k), np.array([0, 1, 2, 9, 10, k])),
+                13, rng, bias=bias),
         }
         for name, layer in layers.items():
             for key, a in layer.params().items():
