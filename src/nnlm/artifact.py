@@ -110,15 +110,21 @@ def _structure_tensors(partition) -> dict[str, np.ndarray]:
 def _rebuild_partition(cfg: RunConfig, tensors) -> object | None:
     if cfg.strategy == "full":
         return None
-    order = tensors["struct.order"]
-    if cfg.strategy == "class":
-        return ClassAssignment(order, tensors["struct.bounds"])
-    levels = []
-    j = 1
-    while f"struct.level{j}" in tensors:
-        levels.append(tensors[f"struct.level{j}"])
-        j += 1
-    return HierarchicalCode(order, levels)
+    depth = 1
+    while f"struct.level{depth + 1}" in tensors:
+        depth += 1
+    names = (["struct.bounds"] if cfg.strategy == "class"
+             else [f"struct.level{j}" for j in range(1, depth + 1)])
+    lacking = [name for name in ("struct.order", *names) if name not in tensors]
+    if lacking:
+        raise ArtifactError(f"artifact lacks tensor {lacking[0]!r}")
+    order, bounds = tensors["struct.order"], [tensors[name] for name in names]
+    try:
+        if cfg.strategy == "class":
+            return ClassAssignment(order, bounds[0])
+        return HierarchicalCode(order, bounds)
+    except ValueError as exc:   # the partition names its arrays as they are stored
+        raise ArtifactError(f"tensor struct.{exc}") from None
 
 
 # ---------------------------------------------------------------------------

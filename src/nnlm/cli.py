@@ -11,15 +11,15 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation, training
 from .artifact import ArtifactError, build_model, load_artifact, save_artifact
-from .caching import DECAY_MODES
-from .config import (EVAL_MODES, ConfigError, RunConfig, load_config,
-                     parse_config, serialize_config)
+from .config import (KEYS, ConfigError, RunConfig, load_config, parse_value,
+                     serialize_config)
 from .corpus import build_vocabulary, load_documents, split_corpus
 from .evaluation import reverse_sentences
 
@@ -37,23 +37,23 @@ def _provenance(cfg: RunConfig, corpus_path: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_sentences(path, lowercase: bool):
+    """The corpus's sentences and the index of each one's document, which
+    carryover resets on."""
+    docs = load_documents(path, lowercase=lowercase)
+    return ([s for doc in docs for s in doc],
+            [i for i, doc in enumerate(docs) for _ in doc])
+
+
 def _load_split(cfg: RunConfig):
-    path = Path(cfg.corpus_path)
-    docs = load_documents(path, lowercase=cfg.lowercase)
-    sentences = [s for doc in docs for s in doc]
+    sentences, doc_ids = _read_sentences(cfg.corpus_path, cfg.lowercase)
     split = split_corpus(sentences, cfg.n_train, cfg.n_valid)
-    # document id per test sentence, for carryover resets
-    doc_ids = [i for i, doc in enumerate(docs) for _ in doc]
-    n_head = len(split.train) + len(split.validation)
-    test_doc_ids = doc_ids[n_head:]
-    return split, test_doc_ids
+    return split, doc_ids[len(split.train) + len(split.validation):]
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if not cfg.corpus_path:
-        raise ConfigError("corpus.path is required for training")
-    outdir = Path(args.outdir)
+def _train(cfg: RunConfig, outdir: Path, echo=None) -> list:
+    """Train a model under ``cfg`` and save it, its vocabulary and its epoch
+    log, headed by the run's provenance, in ``outdir``."""
     outdir.mkdir(parents=True, exist_ok=True)
     split, _ = _load_split(cfg)
     if cfg.reverse:
@@ -61,41 +61,59 @@ def cmd_train(args) -> int:
         split.validation = reverse_sentences(split.validation)
     vocab = build_vocabulary(split.train, min_count=cfg.min_count)
     core, strategy, partition = build_model(cfg, vocab)
-
     epochs_path = outdir / "epochs.tsv"
     epochs_path.write_text(
         _provenance(cfg, Path(cfg.corpus_path)) + training.TSV_HEADER,
         encoding="utf-8")
     (outdir / "vocab.tsv").write_text(vocab.to_tsv(), encoding="utf-8")
+    reports = training.train(core, strategy, split, vocab, cfg.training_config(),
+                             log_path=epochs_path, echo=echo)
+    save_artifact(outdir / "model.nnlm", cfg, vocab, core, strategy, partition)
+    return reports
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config)
+    if not cfg.corpus_path:
+        raise ConfigError("corpus.path is required for training")
 
     def echo(rep):
         print(f"epoch {rep.epoch}: train_nll={rep.train_nll:.4f} "
               f"valid_ppl={rep.valid_ppl:.2f} words/s={rep.words_per_s:.0f} "
               f"lr={rep.alpha:.4g}")
 
-    training.train(core, strategy, split, vocab, cfg.training_config(),
-                   log_path=epochs_path, echo=echo if not args.quiet else None)
-    save_artifact(outdir / "model.nnlm", cfg, vocab, core, strategy, partition)
+    outdir = Path(args.outdir)
+    _train(cfg, outdir, echo=echo if not args.quiet else None)
     print(f"saved {outdir / 'model.nnlm'}")
     return 0
 
 
-# the RunConfig fields ``nnlm eval`` flags of the same dest override; an
-# absent flag keeps the artifact's value
-EVAL_FIELDS = ("eval_mode", "lam", "cache_length", "cache_decay", "gamma",
-               "cache_mode", "alpha_dyn", "beta_dyn")
+def _add_flags(p: argparse.ArgumentParser, *sections: str):
+    """A flag for each RunConfig key in ``sections`` that declares one, as
+    ``args.flags``; a bool key's flag takes no value and sets it true."""
+    flags = []
+    for key, f in KEYS.items():
+        if f.metadata["flag"] and key.split(".")[0] in sections:
+            extra = (dict(action="store_const", const="true", help=f"sets {key} = true")
+                     if f.type == "bool" else dict(help=f"sets {key}"))
+            p.add_argument(f.metadata["flag"], dest=f.name, **extra)
+            flags.append((key, f.name))
+    p.set_defaults(flags=flags)
+
+
+def _flag_values(args) -> dict:
+    """RunConfig field -> value for each flag given, parsed as the key's
+    value in a config file is; an absent flag keeps the key as it is."""
+    return {name: parse_value(key, getattr(args, name))
+            for key, name in args.flags if getattr(args, name) is not None}
 
 
 def cmd_eval(args) -> int:
+    flags = _flag_values(args)
     cfg, vocab, core, strategy, _ = load_artifact(args.artifact)
-    docs = load_documents(args.corpus, lowercase=cfg.lowercase)
-    sentences = [s for doc in docs for s in doc]
-    doc_ids = [i for i, doc in enumerate(docs) for _ in doc]
-    for name in EVAL_FIELDS:
-        if getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    cfg.carryover = cfg.carryover or args.carryover
+    cfg = replace(cfg, **flags)
     cfg.validate()
+    sentences, doc_ids = _read_sentences(args.corpus, cfg.lowercase)
     if cfg.eval_mode == "dynamic":
         rep = training.dynamic_evaluate(core, strategy, sentences, vocab,
                                         cfg.alpha_dyn, cfg.beta_dyn, cfg.clip)
@@ -117,20 +135,6 @@ def cmd_eval(args) -> int:
 # Reference-table reproduction recipes
 # ---------------------------------------------------------------------------
 
-def _base_config(args) -> RunConfig:
-    cfg = RunConfig()
-    cfg.corpus_path = str(_corpus_file(args))
-    cfg.m = args.m
-    cfg.n_h = args.n_h
-    cfg.n_train = args.n_train
-    cfg.n_valid = args.n_valid
-    cfg.max_epochs = args.max_epochs
-    cfg.min_count = args.min_count
-    cfg.seed = args.seed
-    cfg.validate()
-    return cfg
-
-
 def _corpus_file(args) -> Path:
     root = args.corpus_root or os.environ.get(CORPUS_ROOT_ENV)
     if not root:
@@ -148,20 +152,10 @@ def _run_cached(name: str, cfg: RunConfig, args):
     outdir = Path(args.outdir) / name
     artifact = outdir / "model.nnlm"
     if not artifact.exists():
-        outdir.mkdir(parents=True, exist_ok=True)
-        split, _ = _load_split(cfg)
-        if cfg.reverse:
-            split.train = reverse_sentences(split.train)
-            split.validation = reverse_sentences(split.validation)
-        vocab = build_vocabulary(split.train, min_count=cfg.min_count)
-        core, strategy, partition = build_model(cfg, vocab)
         t0 = time.perf_counter()
-        reports = training.train(core, strategy, split, vocab,
-                                 cfg.training_config(),
-                                 log_path=outdir / "epochs.tsv")
+        reports = _train(cfg, outdir)
         print(f"[{name}] trained {len(reports)} epochs in "
               f"{time.perf_counter() - t0:.0f}s")
-        save_artifact(artifact, cfg, vocab, core, strategy, partition)
     cfg2, vocab, core, strategy, _ = load_artifact(artifact)
     if serialize_config(cfg2) != serialize_config(cfg):
         raise ConfigError(f"{artifact} was trained under another configuration; "
@@ -199,21 +193,21 @@ def cmd_reproduce(args) -> int:
         if not ok:
             failures += 1
 
-    base = _base_config(args)
+    flags = _flag_values(args)
+    base = RunConfig(corpus_path=str(_corpus_file(args)), **flags)
+    base.validate()
     if table == "1":
         for arch, ref, band in (("fnn", 223.85, (223.85 * 0.8, 223.85 * 1.2)),
                                   ("rnn", 221.10, (221.10 * 0.8, 221.10 * 1.2)),
                                   ("lstm", 237.93, (200.0, 280.0))):
-            cfg = parse_config(serialize_config(base))
-            cfg.arch = arch
+            cfg = replace(base, arch=arch)
             rep, _, _ = _run_cached(f"t1_{arch}", cfg, args)
             record(_band_row(arch.upper(), ref, rep.ppl, *band))
     elif table == "2":
         ppl = {}
         wps = {}
         for levels, ref in ((1, 227.51), (3, 312.82), (5, 438.58)):
-            cfg = parse_config(serialize_config(base))
-            cfg.strategy, cfg.assign, cfg.levels = "hier", "uniform", levels
+            cfg = replace(base, strategy="hier", assign="uniform", levels=levels)
             rep, w, _ = _run_cached(f"t2_uniform_l{levels}", cfg, args)
             ppl[levels] = rep.ppl
             wps[levels] = w
@@ -222,8 +216,7 @@ def cmd_reproduce(args) -> int:
         record((mono, f"| PPL monotone in depth | yes | {mono} | l1<l3<l5 | "
                 f"{'pass' if mono else 'FAIL'} |"))
         for rule, ref in (("freq", 248.99), ("sqrt_freq", 237.93)):
-            cfg = parse_config(serialize_config(base))
-            cfg.strategy, cfg.assign = "class", rule
+            cfg = replace(base, strategy="class", assign=rule)
             rep, w, _ = _run_cached(f"t2_{rule}", cfg, args)
             ppl[rule] = rep.ppl
             wps[rule] = w
@@ -231,9 +224,7 @@ def cmd_reproduce(args) -> int:
         ok = ppl["sqrt_freq"] <= ppl["freq"]
         record((ok, f"| sqrt-freq <= freq | yes | {ok} | - | "
                 f"{'pass' if ok else 'FAIL'} |"))
-        cfg = parse_config(serialize_config(base))
-        cfg.strategy = "full"
-        _, w_full, _ = _run_cached("t2_full", cfg, args)
+        _, w_full, _ = _run_cached("t2_full", replace(base, strategy="full"), args)
         if w_full and wps.get("sqrt_freq"):
             ratio = wps["sqrt_freq"] / w_full
             record((ratio >= 1.5, f"| class/full train speed | >1 | {ratio:.2f}x "
@@ -248,9 +239,7 @@ def cmd_reproduce(args) -> int:
         rows.append(f"| baseline | 237.93 | {rep.ppl:.2f} | - | - |")
     elif table == "4":
         rep, _, _ = _run_cached("baseline", base, args)
-        cfg = parse_config(serialize_config(base))
-        cfg.reverse = True
-        rrep, _, _ = _run_cached("t4_reversed", cfg, args)
+        rrep, _, _ = _run_cached("t4_reversed", replace(base, reverse=True), args)
         record(_band_row("reversed", 240.48, rrep.ppl,
                          rep.ppl * 0.95, rep.ppl * 1.05))
     elif table == "dynamic":
@@ -287,16 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved model on a corpus")
     p.add_argument("artifact")
     p.add_argument("corpus")
-    # every flag defaults to the artifact's eval.* or cache.* key
-    p.add_argument("--mode", choices=EVAL_MODES, dest="eval_mode")
-    p.add_argument("--cache-lambda", type=float, dest="lam")
-    p.add_argument("--cache-length", type=int)
-    p.add_argument("--cache-decay", choices=DECAY_MODES)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--cache-mode", choices=("word", "class"))
-    p.add_argument("--carryover", action="store_true")
-    p.add_argument("--alpha-dyn", type=float)
-    p.add_argument("--beta-dyn", type=float)
+    _add_flags(p, "eval", "cache")  # an absent flag keeps the artifact's key
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
@@ -304,13 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", help="1, 2, 3, 4 or dynamic")
     p.add_argument("--corpus-root", default=None)
     p.add_argument("--outdir", default="reproduce")
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--n-h", type=int, default=200)
-    p.add_argument("--n-train", type=int, default=800000)
-    p.add_argument("--n-valid", type=int, default=200000)
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    _add_flags(p, "model", "corpus", "train")  # scale-down flags
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -2,97 +2,98 @@
 
 The format is diff-friendly on purpose: one experiment knob per line, ``#``
 comments, canonical serialization so parse -> serialize -> parse is a fixed
-point.
+point.  Each setting is declared once, as a ``RunConfig`` field that names
+its key, its default, the range ``validate`` holds it to and the command-line
+flag that sets it, if any; the key table, the parser, the per-key checks,
+the training section and the CLI flags are all derived from those fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .caching import CacheConfig
 from .training import TrainingConfig
-
-ARCHS = ("fnn", "rnn", "lstm")
-STRATEGIES = ("full", "class", "hier")
-ASSIGN_RULES = ("uniform", "freq", "sqrt_freq")
-EVAL_MODES = ("static", "dynamic", "reversed")
 
 
 class ConfigError(ValueError):
     pass
 
 
+def setting(key: str, default, *, choices=(), least=None, below=float("inf"),
+            flag=None):
+    """A RunConfig field set by ``key``.  ``validate`` holds it to
+    ``choices``, or to [least, below) when ``least`` is given; ``flag`` is
+    the command-line option of ``nnlm eval`` (eval.* and cache.* keys) or
+    ``nnlm reproduce`` (the others) that sets it."""
+    return field(default=default, metadata=dict(
+        key=key, choices=choices, least=least, below=below, flag=flag))
+
+
 @dataclass
 class RunConfig:
     # model
-    arch: str = "lstm"
-    n: int = 5
-    m: int = 100
-    n_h: int = 200
-    direct: bool = False
-    bias: bool = False
-    peepholes: bool = True
+    arch: str = setting("model.arch", "lstm", choices=("fnn", "rnn", "lstm"))
+    n: int = setting("model.n", 5)
+    m: int = setting("model.m", 100, least=1, flag="--m")
+    n_h: int = setting("model.n_h", 200, least=1, flag="--n-h")
+    direct: bool = setting("model.direct", False)
+    bias: bool = setting("model.bias", False)
+    peepholes: bool = setting("model.peepholes", True)
     # output layer
-    strategy: str = "class"
-    classes: int = 0              # 0 means ceil(sqrt(k))
-    levels: int = 1
-    assign: str = "sqrt_freq"
-    energy: bool = False
+    strategy: str = setting("output.strategy", "class",
+                            choices=("full", "class", "hier"))
+    classes: int = setting("output.classes", 0, least=0)  # 0 means ceil(sqrt(k))
+    levels: int = setting("output.levels", 1, least=1)
+    assign: str = setting("output.assign", "sqrt_freq",
+                          choices=("uniform", "freq", "sqrt_freq"))
+    energy: bool = setting("output.energy", False)
     # corpus
-    corpus_path: str = ""
-    lowercase: bool = True
-    min_count: int = 1
-    n_train: int = 800000
-    n_valid: int = 200000
-    reverse: bool = False         # train on reversed sentences
-    # training
-    alpha: float = 0.1
-    beta: float = 1e-06
-    max_epochs: int = 50
-    decay: float = 0.5
-    improve: float = 1.0
-    patience: int = 3
-    clip: float = 5.0
-    seed: int = 1
-    mode: str = "exact"
-    block_size: int = 100
-    min_ess: float = 50.0
-    max_samples: int = 2000
+    corpus_path: str = setting("corpus.path", "")
+    lowercase: bool = setting("corpus.lowercase", True)
+    min_count: int = setting("corpus.min_count", 1, least=1, flag="--min-count")
+    n_train: int = setting("corpus.n_train", 800000, least=1, flag="--n-train")
+    n_valid: int = setting("corpus.n_valid", 200000, least=1, flag="--n-valid")
+    reverse: bool = setting("corpus.reverse", False)  # train on reversed sentences
+    # training: TrainingConfig, which shares these field names, checks them
+    alpha: float = setting("train.alpha", 0.1)
+    beta: float = setting("train.beta", 1e-06)
+    max_epochs: int = setting("train.max_epochs", 50, flag="--max-epochs")
+    decay: float = setting("train.decay", 0.5)
+    improve_threshold: float = setting("train.improve", 1.0)
+    patience: int = setting("train.patience", 3)
+    clip: float = setting("train.clip", 5.0)
+    seed: int = setting("train.seed", 1, flag="--seed")
+    mode: str = setting("train.mode", "exact")
+    block_size: int = setting("train.block_size", 100)
+    min_ess: float = setting("train.min_ess", 50.0)
+    max_samples: int = setting("train.max_samples", 2000)
     # evaluation
-    eval_mode: str = "static"
-    alpha_dyn: float = 0.05
-    beta_dyn: float = 0.0
-    # cache
-    lam: float = 1.0
-    cache_length: int = 100
-    cache_decay: str = "constant"
-    gamma: float = 0.9
-    cache_mode: str = "word"
-    carryover: bool = False
+    eval_mode: str = setting("eval.mode", "static", flag="--mode",
+                             choices=("static", "dynamic", "reversed"))
+    alpha_dyn: float = setting("eval.alpha_dyn", 0.05, least=0.0, flag="--alpha-dyn")
+    beta_dyn: float = setting("eval.beta_dyn", 0.0, least=0.0, below=1.0,
+                              flag="--beta-dyn")
+    # cache: CacheConfig checks these
+    lam: float = setting("cache.lambda", 1.0, flag="--cache-lambda")
+    cache_length: int = setting("cache.length", 100, flag="--cache-length")
+    cache_decay: str = setting("cache.decay", "constant", flag="--cache-decay")
+    gamma: float = setting("cache.gamma", 0.9, flag="--gamma")
+    cache_mode: str = setting("cache.mode", "word", flag="--cache-mode")
+    carryover: bool = setting("cache.carryover", False, flag="--carryover")
 
     def validate(self):
-        checks = [
-            ("model.arch", self.arch, ARCHS),
-            ("output.strategy", self.strategy, STRATEGIES),
-            ("output.assign", self.assign, ASSIGN_RULES),
-            ("eval.mode", self.eval_mode, EVAL_MODES),
-        ]
-        for key, value, allowed in checks:
-            if value not in allowed:
-                raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if meta["choices"] and value not in meta["choices"]:
+                raise ConfigError(
+                    f"{meta['key']} must be one of {meta['choices']}, got {value!r}")
+            if meta["least"] is not None and not meta["least"] <= value < meta["below"]:
+                raise ConfigError(f"{meta['key']} must be in "
+                                  f"[{meta['least']}, {meta['below']}), got {value!r}")
         if self.arch == "fnn" and self.n < 2:
             raise ConfigError("model.n must be >= 2 for the feed-forward model")
-        minima = (("model.m", self.m, 1), ("model.n_h", self.n_h, 1),
-                  ("output.classes", self.classes, 0), ("output.levels", self.levels, 1),
-                  ("corpus.n_valid", self.n_valid, 1))
-        for key, value, least in minima:
-            if value < least:
-                raise ConfigError(f"{key} must be >= {least}, got {value}")
-        if not 0.0 <= self.alpha_dyn < float("inf"):
-            raise ConfigError(f"eval.alpha_dyn must be finite and >= 0, got {self.alpha_dyn}")
-        if not 0.0 <= self.beta_dyn < 1.0:
-            raise ConfigError(f"eval.beta_dyn must be in [0, 1), got {self.beta_dyn}")
         if self.strategy == "hier" and self.assign != "uniform" and self.levels != 1:
             raise ConfigError(
                 f"output.levels = {self.levels} needs output.assign = uniform; "
@@ -111,12 +112,8 @@ class RunConfig:
                 raise ConfigError(f"{section}: {exc}") from None
 
     def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            alpha=self.alpha, beta=self.beta, max_epochs=self.max_epochs,
-            decay=self.decay, improve_threshold=self.improve,
-            patience=self.patience, seed=self.seed, clip=self.clip,
-            mode=self.mode, block_size=self.block_size, min_ess=self.min_ess,
-            max_samples=self.max_samples)
+        return TrainingConfig(**{f.name: getattr(self, f.name)
+                                 for f in fields(TrainingConfig)})
 
     def _cache_section(self) -> CacheConfig:
         return CacheConfig(lam=self.lam, length=self.cache_length,
@@ -129,53 +126,13 @@ class RunConfig:
         return None if self.lam == 1.0 else self._cache_section()
 
 
-# dotted key -> dataclass field
-KEYS = {
-    "model.arch": "arch",
-    "model.n": "n",
-    "model.m": "m",
-    "model.n_h": "n_h",
-    "model.direct": "direct",
-    "model.bias": "bias",
-    "model.peepholes": "peepholes",
-    "output.strategy": "strategy",
-    "output.classes": "classes",
-    "output.levels": "levels",
-    "output.assign": "assign",
-    "output.energy": "energy",
-    "corpus.path": "corpus_path",
-    "corpus.lowercase": "lowercase",
-    "corpus.min_count": "min_count",
-    "corpus.n_train": "n_train",
-    "corpus.n_valid": "n_valid",
-    "corpus.reverse": "reverse",
-    "train.alpha": "alpha",
-    "train.beta": "beta",
-    "train.max_epochs": "max_epochs",
-    "train.decay": "decay",
-    "train.improve": "improve",
-    "train.patience": "patience",
-    "train.clip": "clip",
-    "train.seed": "seed",
-    "train.mode": "mode",
-    "train.block_size": "block_size",
-    "train.min_ess": "min_ess",
-    "train.max_samples": "max_samples",
-    "eval.mode": "eval_mode",
-    "eval.alpha_dyn": "alpha_dyn",
-    "eval.beta_dyn": "beta_dyn",
-    "cache.lambda": "lam",
-    "cache.length": "cache_length",
-    "cache.decay": "cache_decay",
-    "cache.gamma": "gamma",
-    "cache.mode": "cache_mode",
-    "cache.carryover": "carryover",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# dotted key -> the RunConfig field it sets
+KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str, kind: str):
+def parse_value(key: str, raw: str):
+    """``raw`` as a value of ``key``, typed as the key's field is."""
+    kind = KEYS[key].type
     if kind == "bool":
         if raw not in ("true", "false"):
             raise ConfigError(f"{key}: expected true/false, got {raw!r}")
@@ -209,17 +166,14 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        attr = KEYS[key]
-        setattr(cfg, attr, _parse_value(key, raw, _FIELD_TYPES[attr]))
+        setattr(cfg, KEYS[key].name, parse_value(key, raw))
     cfg.validate()
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = [
-        f"{key} = {_format_value(getattr(cfg, attr))}"
-        for key, attr in sorted(KEYS.items())
-    ]
+    lines = [f"{key} = {_format_value(getattr(cfg, f.name))}"
+             for key, f in sorted(KEYS.items())]
     return "\n".join(lines) + "\n"
 
 

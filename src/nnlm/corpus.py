@@ -19,13 +19,9 @@ UNKNOWN = "<unk>"
 Sentence = list[str]
 
 
-def load_corpus(path: str | Path, lowercase: bool = True) -> list[Sentence]:
-    """Read newline-delimited sentences; blank lines are dropped."""
-    return [s for doc in load_documents(path, lowercase=lowercase) for s in doc]
-
-
 def load_documents(path: str | Path, lowercase: bool = True) -> list[list[Sentence]]:
-    """Like :func:`load_corpus` but keeps blank-line-delimited document structure.
+    """Read newline-delimited sentences, grouped into the documents that
+    blank lines delimit.
 
     A file without blank lines comes back as a single document.
     """

@@ -25,26 +25,51 @@ Arrays = dict[str, np.ndarray]
 # Partitions
 # ---------------------------------------------------------------------------
 
+def _check_partition(order: np.ndarray, levels: dict[str, np.ndarray]):
+    """Raise ValueError, naming the array, unless ``order`` is a permutation
+    of 0..k-1 and each of ``levels``, outermost first, is a run of offsets
+    non-decreasing from 0 to k that holds every offset of the one before."""
+    k = order.size
+    if order.ndim != 1 or k and (order.min() < 0 or order.max() >= k
+                                 or (np.bincount(order, minlength=k) != 1).any()):
+        raise ValueError(f"order is not a permutation of 0..{k - 1}")
+    outer = None
+    for name, bounds in levels.items():
+        if (bounds.ndim != 1 or len(bounds) == 0 or bounds[0] != 0
+                or bounds[-1] != k or (np.diff(bounds) < 0).any()):
+            raise ValueError(f"{name} does not run non-decreasing from 0 to {k}")
+        if outer is not None and not np.isin(levels[outer], bounds).all():
+            raise ValueError(f"{name} lacks an offset of {outer}")
+        outer = name
+
+
+def _group_index(bounds: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """The group of each word, as ``searchsorted(bounds, position, "right")
+    - 1`` gives it on checked bounds, read off the groups' lengths."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[position]
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    return position
+
+
 @dataclass
 class ClassAssignment:
     """Partition of the vocabulary into r contiguous groups of ``order``."""
 
     order: np.ndarray       # word ids, grouped class-by-class
     bounds: np.ndarray      # r+1 offsets into order
-    class_of: np.ndarray = field(default=None)
-    position: np.ndarray = field(default=None)
+    class_of: np.ndarray = field(init=False)
+    position: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=np.int64)
         self.bounds = np.asarray(self.bounds, dtype=np.int64)
-        k = len(self.order)
-        if self.position is None:
-            self.position = np.empty(k, dtype=np.int64)
-            self.position[self.order] = np.arange(k)
-        if self.class_of is None:
-            self.class_of = (
-                np.searchsorted(self.bounds, self.position, side="right") - 1
-            ).astype(np.int64)
+        _check_partition(self.order, {"bounds": self.bounds})
+        self.position = _positions(self.order)
+        self.class_of = _group_index(self.bounds, self.position)
 
     @property
     def r(self) -> int:
@@ -127,29 +152,22 @@ class HierarchicalCode:
 
     order: np.ndarray
     levels: list[np.ndarray]
-    position: np.ndarray = field(default=None)
-    group_of: np.ndarray = field(default=None)      # (depth, k)
-    child_lo: list[np.ndarray] = field(default=None)
+    position: np.ndarray = field(init=False)
+    group_of: np.ndarray = field(init=False)        # (depth, k)
+    child_lo: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=np.int64)
         self.levels = [np.asarray(b, dtype=np.int64) for b in self.levels]
-        k = len(self.order)
-        if self.position is None:
-            self.position = np.empty(k, dtype=np.int64)
-            self.position[self.order] = np.arange(k)
-        if self.group_of is None:
-            self.group_of = np.stack([
-                np.searchsorted(b, self.position, side="right") - 1
-                for b in self.levels
-            ])
-        if self.child_lo is None:
-            # group g at depth j spans child groups
-            # [child_lo[j][g], child_lo[j][g+1]) at depth j+1
-            self.child_lo = [
-                np.searchsorted(self.levels[j + 1], self.levels[j])
-                for j in range(self.depth - 1)
-            ]
+        # named as the artifact stores them
+        _check_partition(self.order, {f"level{j + 1}": b
+                                     for j, b in enumerate(self.levels)})
+        self.position = _positions(self.order)
+        self.group_of = np.stack([_group_index(b, self.position) for b in self.levels])
+        # group g at depth j spans child groups
+        # [child_lo[j][g], child_lo[j][g+1]) at depth j+1
+        self.child_lo = [np.searchsorted(self.levels[j + 1], self.levels[j])
+                         for j in range(self.depth - 1)]
 
     @property
     def depth(self) -> int:
@@ -193,8 +211,7 @@ def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = No
 
 def hierarchy_from_classes(assignment: ClassAssignment) -> HierarchicalCode:
     """Depth-1 hierarchy structurally identical to a flat class partition."""
-    return HierarchicalCode(assignment.order.copy(), [assignment.bounds.copy()],
-                            assignment.position.copy(), assignment.class_of[None].copy())
+    return HierarchicalCode(assignment.order.copy(), [assignment.bounds.copy()])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ feed-forward core, the per-step reference for the simple recurrent core, the
 per-example importance-sampling gradient, one-context scoring for the FNN
 and one-step scoring for the RNN, the per-token reference for sentence
 scoring by the full softmax, the two-branch logistic function, the effective
-sample size of importance weights, the vocabulary's TSV reader and
-decoder, the deque cache and its dense distribution, and the gathered
+sample size of importance weights, the corpus reader that runs documents
+together, the vocabulary's TSV reader and decoder, the deque cache and its dense distribution, and the gathered
 class and hierarchical factors."""
 
 import math
@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from nnlm.caching import CacheConfig
-from nnlm.corpus import Vocabulary
+from nnlm.corpus import Vocabulary, load_documents
 from nnlm.models import (FnnCore, FnnParameters, FnnTape, HiddenState,
                          LstmCore, LstmParameters, RnnCore, RnnParameters,
                          _check_indices, _fnn_hidden, model_arrays)
@@ -427,6 +427,12 @@ def effective_sample_size(weights) -> float:
     if total == 0:
         raise ValueError("all importance weights are zero")
     return float(total * total / np.sum(w * w))
+
+
+def load_corpus(path, lowercase=True):
+    """A corpus file's sentences, its documents run together; blank lines
+    are dropped."""
+    return [s for doc in load_documents(path, lowercase=lowercase) for s in doc]
 
 
 def vocab_from_tsv(text: str) -> Vocabulary:

@@ -324,7 +324,8 @@ def test_criterion_10_cross_domain():
     full = (root is not None and (Path(root) / "domain_a.txt").exists()
             and (Path(root) / "domain_b.txt").exists())
     if full:
-        from nnlm.corpus import load_corpus, split_corpus
+        from helpers import load_corpus
+        from nnlm.corpus import split_corpus
         a_split = split_corpus(load_corpus(Path(root) / "domain_a.txt"),
                                800000, 100000)
         b_split = split_corpus(load_corpus(Path(root) / "domain_b.txt"),

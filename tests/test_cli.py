@@ -14,12 +14,13 @@ from helpers import lstm_gate_matrices
 from nnlm.artifact import (ArtifactError, build_model, load_artifact,
                            save_artifact, vocab_sha256)
 from nnlm.cli import main
-from nnlm.config import (ConfigError, RunConfig, parse_config,
+from nnlm.config import (KEYS, ConfigError, RunConfig, parse_config,
                          serialize_config)
 from nnlm.corpus import build_vocabulary
 from nnlm.models import model_arrays
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 TEXT = """the cat sat on the mat
 the dog sat on the log
@@ -94,12 +95,103 @@ class TestConfigFormat:
         assert isinstance(cfg.beta, float) and isinstance(cfg.n_h, int)
         assert isinstance(cfg.peepholes, bool)
 
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_every_key_survives_a_round_trip(self, key):
+        """Each key, set to a value other than its default, is read into its
+        own field and written back as it was given."""
+        line = f"{key} = {NON_DEFAULT[key]}"
+        cfg = parse_config(NEEDS.get(key, "") + line + "\n")
+        assert getattr(cfg, KEYS[key].name) != KEYS[key].default
+        text = serialize_config(cfg)
+        assert line in text.splitlines()
+        assert parse_config(text) == cfg
+
+    def test_readme_tables_every_key_with_its_default_and_flag(self):
+        rows = {}
+        for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+            if line.startswith("| `") and line.count("|") == 5:
+                key, default, _, flag = (c.strip() for c in line.split("|")[1:5])
+                rows[key.strip("`")] = (default.strip("`"), flag.strip("`"))
+        defaults = dict(line.split(" = ") for line in
+                        serialize_config(RunConfig()).splitlines())
+        assert set(rows) == set(KEYS)
+        for key, f in KEYS.items():
+            assert rows[key] == (defaults[key], f.metadata["flag"] or "")
+
+
+# a valid value other than the default for every key, and the settings a
+# value needs beside it
+NON_DEFAULT = {
+    "model.arch": "fnn", "model.n": "3", "model.m": "7", "model.n_h": "9",
+    "model.direct": "true", "model.bias": "true", "model.peepholes": "false",
+    "output.strategy": "hier", "output.classes": "4", "output.levels": "2",
+    "output.assign": "uniform", "output.energy": "true",
+    "corpus.path": "data/brown.txt", "corpus.lowercase": "false",
+    "corpus.min_count": "2", "corpus.n_train": "1000", "corpus.n_valid": "100",
+    "corpus.reverse": "true",
+    "train.alpha": "0.25", "train.beta": "0.001", "train.max_epochs": "4",
+    "train.decay": "0.75", "train.improve": "-0.5", "train.patience": "2",
+    "train.clip": "1.5", "train.seed": "42", "train.mode": "importance",
+    "train.block_size": "10", "train.min_ess": "5.5", "train.max_samples": "20",
+    "eval.mode": "dynamic", "eval.alpha_dyn": "0.5", "eval.beta_dyn": "0.125",
+    "cache.lambda": "0.5", "cache.length": "7", "cache.decay": "exponential",
+    "cache.gamma": "0.5", "cache.mode": "class", "cache.carryover": "true",
+}
+NEEDS = {"train.mode": "model.arch = fnn\noutput.strategy = full\n"
+                       "output.energy = true\n"}
+
 
 # header corruptions a length check cannot see -> the error they must raise
 CORRUPT_HEADERS = {
     "manifest-not-json": "unreadable artifact manifest",
     "manifest-without-tensors": r"manifest lacks \['tensors'\]",
     "unknown-dtype-code": "malformed header in tensor block",
+}
+
+
+def _duplicate_first_word(partition):
+    partition.order[1] = partition.order[0]
+    return partition
+
+
+def _last_bound_past_k(partition):
+    partition.bounds[-1] += 1
+    return partition
+
+
+def _bounds_reversed(partition):
+    partition.bounds = partition.bounds[::-1].copy()
+    return partition
+
+
+def _inner_level_drops_an_outer_offset(partition):
+    outer, inner = partition.levels
+    partition.levels[1] = inner[inner != outer[1]]
+    return partition
+
+
+def _only_the_order(partition):
+    return SimpleNamespace(order=partition.order, levels=[])
+
+
+CLASS = dict(strategy="class")
+HIER = dict(strategy="hier", assign="uniform", levels=2)
+# partition -> (settings, the partition saved in its place, the error)
+NONSENSE_PARTITIONS = {
+    "class-order-not-a-permutation": (CLASS, _duplicate_first_word,
+                                      r"tensor struct\.order is not a permutation"),
+    "class-last-bound-past-k": (CLASS, _last_bound_past_k,
+                                r"tensor struct\.bounds does not run"),
+    "class-bounds-reversed": (CLASS, _bounds_reversed,
+                              r"tensor struct\.bounds does not run"),
+    "class-without-bounds": (CLASS, _only_the_order,
+                             r"lacks tensor 'struct\.bounds'"),
+    "hier-order-not-a-permutation": (HIER, _duplicate_first_word,
+                                     r"tensor struct\.order is not a permutation"),
+    "hier-levels-not-nested": (HIER, _inner_level_drops_an_outer_offset,
+                               r"tensor struct\.level2 lacks an offset of level1"),
+    "hier-without-levels": (HIER, _only_the_order,
+                            r"lacks tensor 'struct\.level1'"),
 }
 
 
@@ -189,6 +281,17 @@ class TestArtifact:
         path.write_bytes(blob[:8] + struct.pack("<I", len(manifest)) + manifest
                          + rest)
         with pytest.raises(ArtifactError, match=CORRUPT_HEADERS[case]):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("case", sorted(NONSENSE_PARTITIONS))
+    def test_nonsense_partition_rejected(self, case, corpus, tmp_path):
+        """A partition saved whole, with valid checksums, still loads only if
+        it splits the vocabulary; the error names the tensor."""
+        settings, spoil, message = NONSENSE_PARTITIONS[case]
+        cfg, vocab, core, strategy, partition = self._build(corpus, **settings)
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, core, strategy, spoil(partition))
+        with pytest.raises(ArtifactError, match=message):
             load_artifact(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
@@ -440,6 +543,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         key = "eval." + flag[2:].replace("-", "_")
         assert err.startswith(f"configuration error: {key} ")
+
+    @pytest.mark.parametrize("command,flags,key", [
+        ("eval", ["--gamma", "abc"], "cache.gamma"),
+        ("eval", ["--cache-length", "1.5"], "cache.length"),
+        ("eval", ["--mode", "bogus"], "eval.mode"),
+        ("reproduce", ["--m", "x"], "model.m"),
+    ], ids=["gamma-text", "length-fraction", "mode-unknown", "m-text"])
+    def test_unparsable_flag_exits_2(self, command, flags, key, corpus,
+                                     tmp_path, capsys):
+        """A flag's value is parsed and checked as its key's value in a
+        config file is, and a bad one ends as one line naming the key."""
+        cfg = small_config(corpus)
+        vocab = build_vocabulary([["a", "b", "c"]])
+        path = tmp_path / "model.nnlm"
+        save_artifact(path, cfg, vocab, *build_model(cfg, vocab))
+        argv = (["eval", path, corpus] if command == "eval"
+                else ["reproduce", "1", "--outdir", tmp_path / "rep"])
+        assert run_cli(*argv, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: {key}")
 
     def test_nan_perplexity_exits_1(self, corpus, tmp_path, capsys):
         """A model whose scores are NaN reports no perplexity."""

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import decode, vocab_from_tsv
+from helpers import decode, load_corpus, vocab_from_tsv
 from nnlm.corpus import (END, START, UNKNOWN, build_vocabulary, encode,
-                         load_corpus, load_documents, split_corpus)
+                         load_documents, split_corpus)
 
 
 def write(tmp_path, text, name="corpus.txt"):

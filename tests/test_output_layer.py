@@ -5,7 +5,8 @@ from helpers import class_reference, full_softmax_token_reference
 from nnlm.corpus import build_vocabulary
 from nnlm.numerics import init_matrix, make_rng
 from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
-                               HierarchicalSoftmax, assign_by_frequency,
+                               HierarchicalCode, HierarchicalSoftmax,
+                               assign_by_frequency,
                                assign_by_sqrt_frequency, assign_uniform_random,
                                default_num_classes, hierarchy_from_classes,
                                hierarchy_uniform_random)
@@ -50,6 +51,20 @@ class TestAssignments:
         np.testing.assert_array_equal(np.diff(a.bounds), [1, 3])
         assert a.class_of[0] == 0
         assert all(a.class_of[i] == 1 for i in (1, 2, 3))
+
+    def test_group_index_is_the_binary_search_with_empty_groups(self):
+        """class_of and group_of, read off the groups' lengths, equal the
+        binary search over the offsets, also where a group is empty."""
+        order = make_rng(2).permutation(10)
+        outer = np.array([0, 0, 4, 4, 10, 10])
+        inner = np.array([0, 0, 2, 4, 4, 7, 10, 10])
+        a = ClassAssignment(order, outer)
+        code = HierarchicalCode(order, [outer, inner])
+        for got, bounds in ((a.class_of, outer), (code.group_of[0], outer),
+                            (code.group_of[1], inner)):
+            want = np.searchsorted(bounds, a.position, side="right") - 1
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     def test_frequency_binning_uniform_freqs_even_split(self):
         v = fake_vocab([2] * 8)
