@@ -35,7 +35,7 @@ def setting(key: str, default, *, choices=(), least=None, below=float("inf"),
 class RunConfig:
     # model
     arch: str = setting("model.arch", "lstm", choices=("fnn", "rnn", "lstm"))
-    n: int = setting("model.n", 5)
+    n: int = setting("model.n", 5, least=1)
     m: int = setting("model.m", 100, least=1, flag="--m")
     n_h: int = setting("model.n_h", 200, least=1, flag="--n-h")
     direct: bool = setting("model.direct", False)

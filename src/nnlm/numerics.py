@@ -19,38 +19,53 @@ __all__ = [
 
 
 class Gradients(dict):
-    """Gradient arrays keyed by parameter name.
+    """Gradient arrays keyed by parameter name, some of them compact.
 
     A name listed in ``rows`` holds a row-compact gradient: row ``i`` of
     ``self[name]`` is the gradient of parameter row ``self.rows[name][i]``,
     the ids in ``self.rows[name]`` are distinct, and every row not listed has
-    a zero gradient.  Every other name holds a gradient of its parameter's
-    full shape.  Tensors with one row per word use the compact form, so a
-    sentence costs work in the rows it touched, not in the vocabulary size.
+    a zero gradient.  A name listed in ``factors`` holds a factored
+    gradient: ``self[name]`` is the left factor L, one row per parameter
+    row, ``self.factors[name]`` the right factor R, and the gradient is the
+    product L @ R, which is never formed whole.  Every other name holds a
+    gradient of its parameter's full shape.  Tensors with one row per word
+    use a compact form, so a sentence costs work in the rows it touched or
+    in its length, not in the vocabulary size times the row width.  Scaling
+    a factored gradient scales its left factor, so no two entries may share
+    one.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows: dict[str, np.ndarray] = {}
+        self.factors: dict[str, np.ndarray] = {}
 
     def __setitem__(self, name, value):
         super().__setitem__(name, value)
         self.rows.pop(name, None)
+        self.factors.pop(name, None)
 
     def set_rows(self, name: str, rows: np.ndarray, values: np.ndarray):
         """Store a row-compact gradient; ``rows`` must be distinct."""
-        super().__setitem__(name, values)
+        self[name] = values
         self.rows[name] = rows
 
+    def set_factors(self, name: str, left: np.ndarray, right: np.ndarray):
+        """Store the gradient ``left @ right`` as its two factors."""
+        self[name] = left
+        self.factors[name] = right
+
     def update(self, other):
-        """Merge another gradient mapping, carrying its row ids along."""
+        """Merge another gradient mapping, carrying its row ids and right
+        factors along."""
         super().update(other)
-        other_rows = getattr(other, "rows", {})
-        for name in other:
-            if name in other_rows:
-                self.rows[name] = other_rows[name]
-            else:
-                self.rows.pop(name, None)
+        for kind in ("rows", "factors"):
+            mine, theirs = getattr(self, kind), getattr(other, kind, {})
+            for name in other:
+                if name in theirs:
+                    mine[name] = theirs[name]
+                else:
+                    mine.pop(name, None)
 
 
 def make_rng(seed: int) -> np.random.Generator:

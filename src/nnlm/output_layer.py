@@ -5,7 +5,8 @@ Assignments keep every class contiguous in a stored word ordering.  The
 class layer is the depth-1 hierarchical one; its factors read weight rows
 in place where they form one run and gather them otherwise, and keep the
 word-factor gradients (``w_word``, ``b_word``) row-compact, one block per
-class or leaf a sentence hit (see ``numerics.Gradients``).
+class or leaf a sentence hit; the full softmax keeps those of ``w_out``
+and ``w_direct`` as their rank-T factors (see ``numerics.Gradients``).
 """
 
 from __future__ import annotations
@@ -255,9 +256,9 @@ class FullSoftmax:
         return out
 
     def zero_grads(self):
-        self._g = {}    # score_sentence assigns each sentence's gradients whole
+        self._g = Gradients()    # score_sentence replaces it every sentence
 
-    def grads(self) -> Arrays:
+    def grads(self) -> Gradients:
         return self._g
 
     def scores(self, state, x=None) -> np.ndarray:
@@ -315,10 +316,13 @@ class FullSoftmax:
         dY[hit] -= 1.0
         if self.energy:
             np.negative(dY, out=dY)
-        self._g = {"w_out": dY.T @ S}
+        # dW_out = dY^T S has rank T: keep it as its factors, and give
+        # w_direct a left factor of its own, since clipping scales it
+        self._g = Gradients()
+        self._g.set_factors("w_out", dY.T, S)
         d_x = None
         if self.w_direct is not None:
-            self._g["w_direct"] = dY.T @ X
+            self._g.set_factors("w_direct", dY.T.copy(), X)
             d_x = dY @ self.w_direct
         if self.b_out is not None:
             self._g["b_out"] = dY.sum(axis=0)

@@ -57,8 +57,8 @@ class TrainingConfig:
             raise ValueError(f"mode must be exact or importance, got {self.mode!r}")
         if not (math.isfinite(self.clip) and self.clip > 0):
             raise ValueError(f"gradient clip must be positive and finite, got {self.clip}")
-        if not math.isfinite(self.min_ess):
-            raise ValueError(f"min_ess must be finite, got {self.min_ess}")
+        if not (math.isfinite(self.min_ess) and self.min_ess > 0):
+            raise ValueError(f"min_ess must be positive and finite, got {self.min_ess}")
         if self.max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
 
@@ -80,26 +80,40 @@ class EpochReport:
 TSV_HEADER = "epoch\ttrain_nll\tvalid_ppl\twords_per_s\tlr\tclip_events\n"
 
 
+# rows of a factored gradient multiplied out at a time: a few hundred KB to
+# a few MB of product, reused block after block, in place of the whole
+# k x n matrix and its temporaries
+FACTOR_BLOCK = 1024
+
+
 def update_parameters(arrays: Arrays, grads: Arrays, alpha: float, beta: float):
     """One SGD step descending the negative log-likelihood.
 
     Weight decay shrinks every row of every matrix by (1-beta) and leaves
     biases undecayed; a row-compact gradient (see ``Gradients``) then moves
-    only its own rows.  The decay is eager, over every row, except for the
-    matrices a ``LazyDecay`` defers: their gradient rows, which ``sync``
-    brought up to date, decay and move as one gather and one scatter, with
-    the arithmetic of the eager step, and every other row's decay waits.
-    A non-finite gradient raises before any parameter moves.
+    only its own rows, and a factored one is multiplied out and subtracted
+    one block of ``FACTOR_BLOCK`` rows at a time.  The decay is eager, over
+    every row, except for the matrices a ``LazyDecay`` defers: their
+    gradient rows, which ``sync`` brought up to date, decay and move as one
+    gather and one scatter, with the arithmetic of the eager step, and every
+    other row's decay waits.  A non-finite gradient raises before any
+    parameter moves.
     """
     rows = getattr(grads, "rows", {})
+    factors = getattr(grads, "factors", {})
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if name in factors:
+            _squared_norm(name, g, factors[name])
+        elif not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name!r}")
     lazy = getattr(arrays, "last", {})
     for name, g in grads.items():
         theta = arrays[name]
         if name in lazy:
             arrays.step(name, rows[name], alpha * g)
+            continue
+        if name in factors:
+            _factored_step(theta, g, alpha * factors[name], beta)
             continue
         if theta.ndim == 2 and beta != 0.0:
             theta *= 1.0 - beta
@@ -109,6 +123,17 @@ def update_parameters(arrays: Arrays, grads: Arrays, alpha: float, beta: float):
             theta -= alpha * g
     if lazy:
         arrays.steps += 1
+
+
+def _factored_step(theta, left, right, beta):
+    """theta <- theta (1-beta) - left @ right, one block of rows at a time."""
+    buf = np.empty((min(FACTOR_BLOCK, len(theta)), theta.shape[1]))
+    for lo in range(0, len(theta), FACTOR_BLOCK):
+        rows = theta[lo:lo + FACTOR_BLOCK]
+        step = np.matmul(left[lo:lo + FACTOR_BLOCK], right, out=buf[:len(rows)])
+        if beta != 0.0:
+            rows *= 1.0 - beta
+        rows -= step
 
 
 class LazyDecay(dict):
@@ -177,17 +202,35 @@ def read_rows(strategy, enc: np.ndarray) -> dict[str, np.ndarray]:
     return reads
 
 
+def _squared_norm(name: str, g: np.ndarray, right=None) -> float:
+    """The squared L2 norm of gradient ``name``: of ``g``, or of the
+    product ``g @ right`` of a factored gradient, which is the sum of the
+    product of the two factors' T x T Gram matrices and never forms it.
+    Raises FloatingPointError naming the tensor when the gradient is not
+    finite; a factored one is checked on both factors and on that sum, so a
+    product that overflows raises too."""
+    if right is None:
+        sq = float(np.sum(g * g))
+        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in {name!r}")
+        return sq
+    sq = float(np.sum((g.T @ g) * (right @ right.T)))
+    if not (math.isfinite(sq) and np.all(np.isfinite(g))
+            and np.all(np.isfinite(right))):
+        raise FloatingPointError(f"non-finite gradient in {name!r}")
+    return sq
+
+
 def clip_gradients(grads: Arrays, max_norm: float) -> bool:
-    """Scale all gradients so the global L2 norm is at most max_norm.
+    """Scale all gradients so the global L2 norm is at most max_norm; a
+    factored gradient is scaled through its left factor.
 
     A non-finite gradient raises FloatingPointError naming its tensor before
     anything is scaled.
     """
-    squares = [float(np.sum(g * g)) for g in grads.values()]
-    for (name, g), sq in zip(grads.items(), squares):
-        if not math.isfinite(sq) and not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name!r}")
-    total = math.sqrt(sum(squares))
+    factors = getattr(grads, "factors", {})
+    total = math.sqrt(sum(_squared_norm(name, g, factors.get(name))
+                          for name, g in grads.items()))
     if total <= max_norm or total == 0.0:
         return False
     scale = max_norm / total

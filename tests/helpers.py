@@ -60,14 +60,17 @@ def make_model(arch, strategy_kind="full", seed=0, direct=False, bias=False,
 
 
 def dense(grads, arrays):
-    """Full-shape copies of ``grads``, row-compact tensors expanded with zero
-    rows (``arrays`` gives the shapes)."""
+    """Full-shape copies of ``grads``: row-compact tensors expanded with zero
+    rows (``arrays`` gives the shapes), factored ones multiplied out."""
     rows = getattr(grads, "rows", {})
+    factors = getattr(grads, "factors", {})
     out = {}
     for name, g in grads.items():
         if name in rows:
             out[name] = np.zeros_like(arrays[name])
             out[name][rows[name]] = g
+        elif name in factors:
+            out[name] = g @ factors[name]
         else:
             out[name] = np.array(g, copy=True)
     return out

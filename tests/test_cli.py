@@ -13,6 +13,7 @@ import pytest
 from helpers import lstm_gate_matrices
 from nnlm.artifact import (ArtifactError, build_model, load_artifact,
                            save_artifact, vocab_sha256)
+from nnlm import cli
 from nnlm.cli import main
 from nnlm.config import (KEYS, ConfigError, RunConfig, parse_config,
                          serialize_config)
@@ -465,7 +466,8 @@ class TestExitCodes:
         "train.alpha = nan", "train.alpha = inf", "train.beta = inf",
         "train.beta = 1.5", "train.decay = 0", "train.decay = 1.5",
         "train.patience = 0", "train.max_epochs = 0", "train.improve = nan",
-        "train.seed = -1", "corpus.n_valid = 0",
+        "train.seed = -1", "corpus.n_valid = 0", "train.min_ess = -1",
+        "train.min_ess = 0", "model.n = 0",
     ])
     def test_nonsense_training_setting_exits_2(self, setting, tmp_path,
                                                capsys):
@@ -577,6 +579,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: perplexity is not finite")
+
+    def test_out_of_memory_exits_1(self, corpus, tmp_path, capsys,
+                                   monkeypatch):
+        """A model too large to allocate ends as one error line, not a
+        MemoryError traceback."""
+        def refuse(cfg, vocab, partition=None):
+            raise MemoryError("Unable to allocate 8.94 GiB for an array")
+
+        monkeypatch.setattr(cli, "build_model", refuse)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(serialize_config(small_config(corpus)),
+                            encoding="utf-8")
+        assert run_cli("train", cfg_path, "--outdir", tmp_path / "out",
+                       "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: out of memory: Unable to allocate")
 
     def test_module_run_prints_one_error_line(self, corpus, tmp_path):
         """``python -m nnlm.cli`` prints only its own error, with no runpy

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import sigmoid_reference
-from nnlm.numerics import (init_matrix, log_softmax, log_softmax_rows,
-                           make_rng, sigmoid, sigmoid_deriv, softmax,
-                           tanh_deriv)
+from nnlm.numerics import (Gradients, init_matrix, log_softmax,
+                           log_softmax_rows, make_rng, sigmoid, sigmoid_deriv,
+                           softmax, tanh_deriv)
 
 
 class TestSoftmax:
@@ -97,3 +97,18 @@ class TestInit:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             init_matrix(0, 3, make_rng(0))
+
+
+class TestGradients:
+    def test_update_carries_rows_and_factors_and_drops_stale_ones(self):
+        g = Gradients({"a": np.ones(2)})
+        g.set_rows("r", np.array([3]), np.ones((1, 2)))
+        g.set_factors("f", np.ones((4, 1)), np.ones((1, 2)))
+        other = Gradients({"r": np.zeros((5, 2))})
+        other.set_factors("a", np.ones((2, 1)), np.ones((1, 3)))
+        other.set_rows("f", np.array([0, 2]), np.ones((2, 2)))
+        g.update(other)
+        assert set(g.rows) == {"f"} and set(g.factors) == {"a"}
+        assert g.factors["a"].shape == (1, 3)
+        g["a"] = np.zeros(2)
+        assert not g.factors and set(g.rows) == {"f"}

@@ -8,7 +8,7 @@ from nnlm import training
 from nnlm.corpus import CorpusSplit, build_vocabulary
 from nnlm.evaluation import perplexity
 from nnlm.models import model_arrays
-from nnlm.numerics import make_rng, softmax
+from nnlm.numerics import Gradients, make_rng, softmax
 from nnlm.training import (ProposalDistribution, TrainingConfig,
                            clip_gradients, dynamic_evaluate, energy_normalize,
                            importance_sampling_gradient, sentence_gradients,
@@ -21,7 +21,8 @@ class TestConfig:
         dict(block_size=0), dict(mode="antithetic"),
         dict(clip=-5.0), dict(clip=0.0), dict(clip=float("nan")),
         dict(clip=float("inf")), dict(min_ess=float("nan")),
-        dict(min_ess=float("inf")), dict(max_samples=0),
+        dict(min_ess=float("inf")), dict(min_ess=0.0), dict(min_ess=-1.0),
+        dict(max_samples=0),
     ])
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -91,6 +92,68 @@ class TestClip:
         with pytest.raises(FloatingPointError, match="'b'"):
             clip_gradients(g, 1.0)
         np.testing.assert_array_equal(g["a"], [3.0, 4.0])
+
+
+class TestFactored:
+    """A factored gradient (``Gradients.factors``) is clipped and applied as
+    the dense product of its factors would be."""
+
+    @staticmethod
+    def grads(direct=True):
+        rng = make_rng(40)
+        g = Gradients({"b_out": rng.normal(size=40)})
+        g.set_factors("w_out", rng.normal(size=(40, 6)), rng.normal(size=(6, 3)))
+        if direct:
+            g.set_factors("w_direct", rng.normal(size=(40, 6)),
+                          rng.normal(size=(6, 5)))
+        return g
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3])
+    def test_clip_and_step_match_dense(self, beta, monkeypatch):
+        # blocks of 7 rows: five whole blocks and a partial one
+        monkeypatch.setattr(training, "FACTOR_BLOCK", 7)
+        rng = make_rng(41)
+        arrays = {"b_out": rng.normal(size=40),
+                  "w_out": rng.normal(size=(40, 3)),
+                  "w_direct": rng.normal(size=(40, 5))}
+        want = {n: a.copy() for n, a in arrays.items()}
+        g = self.grads()
+        d = dense(g, arrays)
+        assert clip_gradients(g, 1.0) and clip_gradients(d, 1.0)
+        for name in d:
+            np.testing.assert_allclose(dense(g, arrays)[name], d[name],
+                                       rtol=1e-12)
+        update_parameters(arrays, g, 0.1, beta)
+        update_parameters(want, d, 0.1, beta)
+        for name in want:
+            np.testing.assert_allclose(arrays[name], want[name], rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["w_out", "w_direct"])
+    def test_overflowing_product_named_before_any_move(self, name):
+        """Finite factors whose product overflows raise, naming the tensor,
+        before anything is scaled or updated; numpy's own warnings are off,
+        as ``nnlm`` runs."""
+        g = self.grads()
+        g[name][:] *= 1e200
+        g.factors[name][:] *= 1e200
+        assert np.all(np.isfinite(g[name]))
+        before = {n: v.copy() for n, v in g.items()}
+        arrays = {"b_out": np.zeros(40), "w_out": np.zeros((40, 3)),
+                  "w_direct": np.zeros((40, 5))}
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=f"'{name}'"):
+                clip_gradients(g, 1.0)
+            with pytest.raises(FloatingPointError, match=f"'{name}'"):
+                update_parameters(arrays, g, 0.1, 1e-3)
+        for n, v in g.items():
+            assert v.tobytes() == before[n].tobytes(), n
+        assert not any(a.any() for a in arrays.values())
+
+    def test_non_finite_factor_named(self):
+        g = self.grads(direct=False)
+        g.factors["w_out"][2, 1] = np.nan
+        with pytest.raises(FloatingPointError, match="'w_out'"):
+            clip_gradients(g, 1e9)
 
 
 class TestEffectiveSampleSize:
