@@ -20,11 +20,11 @@ from .corpus import Vocabulary
 from .models import (FnnCore, FnnParameters, LstmCore, LstmParameters,
                      RnnCore, RnnParameters, model_arrays)
 from .numerics import make_rng
-from .output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
-                           HierarchicalCode, HierarchicalSoftmax,
-                           assign_by_frequency, assign_by_sqrt_frequency,
-                           assign_uniform_random, default_num_classes,
-                           hierarchy_from_classes, hierarchy_uniform_random)
+from .output_layer import (ClassSoftmax, FullSoftmax, HierarchicalCode,
+                           HierarchicalSoftmax, assign_by_frequency,
+                           assign_by_sqrt_frequency, assign_uniform_random,
+                           check_partition, default_num_classes,
+                           hierarchy_uniform_random)
 
 MAGIC = b"NNLMART1"
 FORMAT_VERSION = 1
@@ -45,8 +45,8 @@ def vocab_sha256(vocab: Vocabulary) -> str:
 # ---------------------------------------------------------------------------
 
 def build_assignment(cfg: RunConfig, vocab: Vocabulary, rng):
-    """Class assignment or hierarchy described by the config, or None for
-    the full softmax."""
+    """The vocabulary partition described by the config (a class
+    assignment is its depth-1 case), or None for the full softmax."""
     if cfg.strategy == "full":
         return None
     k = vocab.size
@@ -57,10 +57,9 @@ def build_assignment(cfg: RunConfig, vocab: Vocabulary, rng):
         raise ConfigError(f"output.classes = {r} exceeds the vocabulary's {k} words")
     if cfg.assign == "uniform":
         return assign_uniform_random(k, r, rng)
-    flat = (assign_by_frequency if cfg.assign == "freq"
-            else assign_by_sqrt_frequency)(vocab, r)
     # a frequency rule gives one flat level, so its hierarchy has depth 1
-    return flat if cfg.strategy == "class" else hierarchy_from_classes(flat)
+    return (assign_by_frequency if cfg.assign == "freq"
+            else assign_by_sqrt_frequency)(vocab, r)
 
 
 def build_model(cfg: RunConfig, vocab: Vocabulary, partition=None):
@@ -96,35 +95,38 @@ def build_model(cfg: RunConfig, vocab: Vocabulary, partition=None):
     return core, strategy, partition
 
 
-def _structure_tensors(partition) -> dict[str, np.ndarray]:
+def _level_names(cfg: RunConfig, depth: int) -> list[str]:
+    """The tensor names of a partition's levels, outermost first: a class
+    layer stores its one level as ``struct.bounds``."""
+    if cfg.strategy == "class":
+        return ["struct.bounds"]
+    return [f"struct.level{j + 1}" for j in range(depth)]
+
+
+def _structure_tensors(cfg: RunConfig, partition) -> dict[str, np.ndarray]:
     if partition is None:
         return {}
-    if isinstance(partition, ClassAssignment):
-        return {"struct.order": partition.order, "struct.bounds": partition.bounds}
-    out = {"struct.order": partition.order}
-    for j, b in enumerate(partition.levels):
-        out[f"struct.level{j + 1}"] = b
-    return out
+    names = _level_names(cfg, len(partition.levels))
+    return {"struct.order": partition.order, **dict(zip(names, partition.levels))}
 
 
-def _rebuild_partition(cfg: RunConfig, tensors) -> object | None:
+def _rebuild_partition(cfg: RunConfig, tensors) -> HierarchicalCode | None:
     if cfg.strategy == "full":
         return None
     depth = 1
     while f"struct.level{depth + 1}" in tensors:
         depth += 1
-    names = (["struct.bounds"] if cfg.strategy == "class"
-             else [f"struct.level{j}" for j in range(1, depth + 1)])
+    names = _level_names(cfg, depth)
     lacking = [name for name in ("struct.order", *names) if name not in tensors]
     if lacking:
         raise ArtifactError(f"artifact lacks tensor {lacking[0]!r}")
-    order, bounds = tensors["struct.order"], [tensors[name] for name in names]
-    try:
-        if cfg.strategy == "class":
-            return ClassAssignment(order, bounds[0])
-        return HierarchicalCode(order, bounds)
-    except ValueError as exc:   # the partition names its arrays as they are stored
+    order, levels = tensors["struct.order"], [tensors[name] for name in names]
+    try:   # the error names the arrays as they are stored
+        check_partition(order, {name.removeprefix("struct."): b
+                                for name, b in zip(names, levels)})
+    except ValueError as exc:
         raise ArtifactError(f"tensor struct.{exc}") from None
+    return HierarchicalCode(order, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def _parse_manifest(blob: bytes) -> dict:
 
 def save_artifact(path: str | Path, cfg: RunConfig, vocab: Vocabulary,
                   core, strategy, partition=None):
-    tensors = {**model_arrays(core, strategy), **_structure_tensors(partition)}
+    tensors = {**model_arrays(core, strategy), **_structure_tensors(cfg, partition)}
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": serialize_config(cfg),

@@ -148,7 +148,9 @@ def _corpus_file(args) -> Path:
 
 
 def _run_cached(name: str, cfg: RunConfig, args):
-    """Train (or reuse) one configuration; returns (test PPL report, words/s)."""
+    """Train (or reuse) one configuration; returns (test PPL report, words/s).
+    A directory is reused only under the same configuration, and only if its
+    epoch log is headed by this corpus's provenance and records an epoch."""
     outdir = Path(args.outdir) / name
     artifact = outdir / "model.nnlm"
     if not artifact.exists():
@@ -160,17 +162,18 @@ def _run_cached(name: str, cfg: RunConfig, args):
     if serialize_config(cfg2) != serialize_config(cfg):
         raise ConfigError(f"{artifact} was trained under another configuration; "
                           "remove it or choose another --outdir")
+    log = outdir / "epochs.tsv"
+    lines = log.read_text(encoding="utf-8").splitlines(True) if log.exists() else []
+    header = "".join(l for l in lines if l.startswith("#"))
+    rows = [l for l in lines if l.strip() and not l.startswith(("#", "epoch\t"))]
+    if header != _provenance(cfg, Path(cfg.corpus_path)) or not rows:
+        raise ConfigError(f"{outdir} holds no finished run on this corpus (its "
+                          "epochs.tsv header differs or records no epoch); "
+                          "remove it or choose another --outdir")
     split, doc_ids = _load_split(cfg2)
     test = reverse_sentences(split.test) if cfg2.reverse else split.test
     rep = evaluation.perplexity(core, strategy, test, vocab)
-    # training throughput from the epoch log
-    wps = None
-    log = outdir / "epochs.tsv"
-    if log.exists():
-        rows = [l for l in log.read_text().splitlines()
-                if l and not l.startswith(("#", "epoch\t"))]
-        if rows:
-            wps = float(rows[-1].split("\t")[3])
+    wps = float(rows[-1].split("\t")[3])   # training throughput of the last epoch
     return rep, wps, (core, strategy, vocab, split, doc_ids)
 
 
@@ -193,6 +196,8 @@ def cmd_reproduce(args) -> int:
         if not ok:
             failures += 1
 
+    if table not in ("1", "2", "3", "4", "dynamic"):
+        raise ConfigError(f"unknown table id {table!r}; use 1, 2, 3, 4 or dynamic")
     flags = _flag_values(args)
     base = RunConfig(corpus_path=str(_corpus_file(args)), **flags)
     base.validate()
@@ -225,10 +230,9 @@ def cmd_reproduce(args) -> int:
         record((ok, f"| sqrt-freq <= freq | yes | {ok} | - | "
                 f"{'pass' if ok else 'FAIL'} |"))
         _, w_full, _ = _run_cached("t2_full", replace(base, strategy="full"), args)
-        if w_full and wps.get("sqrt_freq"):
-            ratio = wps["sqrt_freq"] / w_full
-            record((ratio >= 1.5, f"| class/full train speed | >1 | {ratio:.2f}x "
-                    f"| >=1.5x | {'pass' if ratio >= 1.5 else 'FAIL'} |"))
+        ratio = wps["sqrt_freq"] / w_full
+        record((ratio >= 1.5, f"| class/full train speed | >1 | {ratio:.2f}x "
+                f"| >=1.5x | {'pass' if ratio >= 1.5 else 'FAIL'} |"))
     elif table == "3":
         rep, _, extras = _run_cached("baseline", base, args)
         core, strategy, vocab, split, doc_ids = extras
@@ -242,15 +246,13 @@ def cmd_reproduce(args) -> int:
         rrep, _, _ = _run_cached("t4_reversed", replace(base, reverse=True), args)
         record(_band_row("reversed", 240.48, rrep.ppl,
                          rep.ppl * 0.95, rep.ppl * 1.05))
-    elif table == "dynamic":
+    else:
         rep, _, extras = _run_cached("baseline", base, args)
         core, strategy, vocab, split, _ = extras
         dyn = training.dynamic_evaluate(core, strategy, split.test, vocab,
                                         base.alpha_dyn, base.beta_dyn, base.clip)
         record(_band_row("dynamic", 174.57, dyn.ppl, 1.0, rep.ppl * 0.90))
         rows.append(f"| static | 237.93 | {rep.ppl:.2f} | - | - |")
-    else:
-        raise ConfigError(f"unknown table id {table!r}; use 1, 2, 3, 4 or dynamic")
 
     report = "\n".join(rows) + "\n"
     print(report)

@@ -81,7 +81,7 @@ def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
     if class_cache:
         if not isinstance(strategy, ClassSoftmax):
             raise ValueError("class cache requires a class-factored output layer")
-        class_of = strategy.assignment.class_of
+        class_of = strategy.code.group_of[0]
     # the ring never holds more entries than there are tokens to score, so
     # it is no longer than that, whatever cache.length asks for
     n_tokens = sum(len(s) + 1 for s in sentences)

@@ -1,12 +1,13 @@
 """Output strategies: full softmax, class-factored softmax, and multi-level
-hierarchical decomposition, plus the class-assignment rules.
+hierarchical decomposition, plus the rules that partition the vocabulary.
 
-Assignments keep every class contiguous in a stored word ordering.  The
-class layer is the depth-1 hierarchical one; its factors read weight rows
-in place where they form one run and gather them otherwise, and keep the
-word-factor gradients (``w_word``, ``b_word``) row-compact, one block per
-class or leaf a sentence hit; the full softmax keeps those of ``w_out``
-and ``w_direct`` as their rank-T factors (see ``numerics.Gradients``).
+A partition is a ``HierarchicalCode``: every group contiguous in a stored
+word ordering, and a class assignment its depth-1 case.  The class layer is
+the depth-1 hierarchical one; its factors read weight rows in place where
+they form one run and gather them otherwise, and keep the word-factor
+gradients (``w_word``, ``b_word``) row-compact, one block per class or leaf
+a sentence hit; the full softmax keeps those of ``w_out`` and ``w_direct``
+as their rank-T factors (see ``numerics.Gradients``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ Arrays = dict[str, np.ndarray]
 # Partitions
 # ---------------------------------------------------------------------------
 
-def _check_partition(order: np.ndarray, levels: dict[str, np.ndarray]):
+def check_partition(order: np.ndarray, levels: dict[str, np.ndarray]):
     """Raise ValueError, naming the array, unless ``order`` is a permutation
     of 0..k-1 and each of ``levels``, outermost first, is a run of offsets
     non-decreasing from 0 to k that holds every offset of the one before."""
@@ -57,96 +58,6 @@ def _positions(order: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ClassAssignment:
-    """Partition of the vocabulary into r contiguous groups of ``order``."""
-
-    order: np.ndarray       # word ids, grouped class-by-class
-    bounds: np.ndarray      # r+1 offsets into order
-    class_of: np.ndarray = field(init=False)
-    position: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.order = np.asarray(self.order, dtype=np.int64)
-        self.bounds = np.asarray(self.bounds, dtype=np.int64)
-        _check_partition(self.order, {"bounds": self.bounds})
-        self.position = _positions(self.order)
-        self.class_of = _group_index(self.bounds, self.position)
-
-    @property
-    def r(self) -> int:
-        return len(self.bounds) - 1
-
-    @property
-    def k(self) -> int:
-        return len(self.order)
-
-
-def default_num_classes(k: int) -> int:
-    """sqrt(k) balances the class and word softmax factors."""
-    return max(1, ceil(sqrt(k)))
-
-
-def _even_bounds(total: int, parts: int, offset: int = 0) -> list[int]:
-    """offsets splitting [offset, offset+total) into near-equal runs (sizes differ <= 1)."""
-    base, extra = divmod(total, parts)
-    out = [offset]
-    for i in range(parts):
-        out.append(out[-1] + base + (1 if i < extra else 0))
-    return out
-
-
-def assign_uniform_random(k: int, r: int, rng) -> ClassAssignment:
-    """Random permutation of the words cut into r near-equal classes."""
-    if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
-    return ClassAssignment(rng.permutation(k), np.array(_even_bounds(k, r)))
-
-
-def _assign_by_mass(freq_order: np.ndarray, mass: np.ndarray, r: int) -> ClassAssignment:
-    k = len(freq_order)
-    if r > k:
-        raise ValueError(f"cannot split {k} words into {r} classes")
-    cum = np.cumsum(mass)
-    cum /= cum[-1]
-    cls = np.minimum(np.ceil(cum * r).astype(np.int64) - 1, r - 1)
-    cls = np.maximum(cls, 0)
-    bounds = np.searchsorted(cls, np.arange(r + 1), side="left")
-    # A single word with a huge mass share can jump the cumulative total past
-    # several bin edges at once, leaving lower classes empty.  An empty class
-    # still receives class-factor probability that no word can claim, so the
-    # word distribution would no longer sum to one.  Nudge the boundaries just
-    # enough that every class keeps at least one word.
-    for i in range(1, r):
-        bounds[i] = min(max(bounds[i], i), k - (r - i))
-    return ClassAssignment(freq_order, bounds)
-
-
-def _freq_order(vocab) -> np.ndarray:
-    keys = sorted(range(vocab.size), key=lambda i: (-vocab.frequencies[i], vocab.words[i]))
-    return np.array(keys, dtype=np.int64)
-
-
-def assign_by_frequency(vocab, r: int) -> ClassAssignment:
-    """Cumulative-frequency binning: word z joins class i when
-    i/r < sum_{j<=z} f_j/F <= (i+1)/r over the frequency-descending order."""
-    if r < 1:
-        raise ValueError(f"need at least one class, got r={r}")
-    order = _freq_order(vocab)
-    return _assign_by_mass(order, vocab.frequencies[order].astype(np.float64), r)
-
-
-def assign_by_sqrt_frequency(vocab, r: int) -> ClassAssignment:
-    """Same binning over sqrt(f_j/F) masses; equalizes class sizes on
-    Zipf-like vocabularies."""
-    if r < 1:
-        raise ValueError(f"need at least one class, got r={r}")
-    order = _freq_order(vocab)
-    f = vocab.frequencies[order].astype(np.float64)
-    total = f.sum()
-    return _assign_by_mass(order, np.sqrt(f / total), r)
-
-
-@dataclass
 class HierarchicalCode:
     """Nested contiguous partition: ``levels[j]`` are the group offsets at
     depth j+1; leaf groups hold the words a final word softmax runs over."""
@@ -160,8 +71,7 @@ class HierarchicalCode:
     def __post_init__(self):
         self.order = np.asarray(self.order, dtype=np.int64)
         self.levels = [np.asarray(b, dtype=np.int64) for b in self.levels]
-        # named as the artifact stores them
-        _check_partition(self.order, {f"level{j + 1}": b
+        check_partition(self.order, {f"level{j + 1}": b
                                      for j, b in enumerate(self.levels)})
         self.position = _positions(self.order)
         self.group_of = np.stack([_group_index(b, self.position) for b in self.levels])
@@ -180,6 +90,71 @@ class HierarchicalCode:
 
     def group_counts(self) -> list[int]:
         return [len(b) - 1 for b in self.levels]
+
+
+def default_num_classes(k: int) -> int:
+    """sqrt(k) balances the class and word softmax factors."""
+    return max(1, ceil(sqrt(k)))
+
+
+def _even_bounds(total: int, parts: int, offset: int = 0) -> list[int]:
+    """offsets splitting [offset, offset+total) into near-equal runs (sizes differ <= 1)."""
+    base, extra = divmod(total, parts)
+    out = [offset]
+    for i in range(parts):
+        out.append(out[-1] + base + (1 if i < extra else 0))
+    return out
+
+
+def assign_uniform_random(k: int, r: int, rng) -> HierarchicalCode:
+    """Random permutation of the words cut into r near-equal classes."""
+    if not 1 <= r <= k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
+    return HierarchicalCode(rng.permutation(k), [np.array(_even_bounds(k, r))])
+
+
+def _assign_by_mass(freq_order: np.ndarray, mass: np.ndarray, r: int) -> HierarchicalCode:
+    k = len(freq_order)
+    if r > k:
+        raise ValueError(f"cannot split {k} words into {r} classes")
+    cum = np.cumsum(mass)
+    cum /= cum[-1]
+    cls = np.minimum(np.ceil(cum * r).astype(np.int64) - 1, r - 1)
+    cls = np.maximum(cls, 0)
+    bounds = np.searchsorted(cls, np.arange(r + 1), side="left")
+    # A single word with a huge mass share can jump the cumulative total past
+    # several bin edges at once, leaving lower classes empty.  An empty class
+    # still receives class-factor probability that no word can claim, so the
+    # word distribution would no longer sum to one.  Nudge the boundaries just
+    # enough that every class keeps at least one word.
+    for i in range(1, r):
+        bounds[i] = min(max(bounds[i], i), k - (r - i))
+    return HierarchicalCode(freq_order, [bounds])
+
+
+def _freq_order(vocab) -> np.ndarray:
+    keys = sorted(range(vocab.size), key=lambda i: (-vocab.frequencies[i], vocab.words[i]))
+    return np.array(keys, dtype=np.int64)
+
+
+def assign_by_frequency(vocab, r: int) -> HierarchicalCode:
+    """Cumulative-frequency binning: word z joins class i when
+    i/r < sum_{j<=z} f_j/F <= (i+1)/r over the frequency-descending order."""
+    if r < 1:
+        raise ValueError(f"need at least one class, got r={r}")
+    order = _freq_order(vocab)
+    return _assign_by_mass(order, vocab.frequencies[order].astype(np.float64), r)
+
+
+def assign_by_sqrt_frequency(vocab, r: int) -> HierarchicalCode:
+    """Same binning over sqrt(f_j/F) masses; equalizes class sizes on
+    Zipf-like vocabularies."""
+    if r < 1:
+        raise ValueError(f"need at least one class, got r={r}")
+    order = _freq_order(vocab)
+    f = vocab.frequencies[order].astype(np.float64)
+    total = f.sum()
+    return _assign_by_mass(order, np.sqrt(f / total), r)
 
 
 def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = None
@@ -208,11 +183,6 @@ def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = No
         levels.append(np.array(bounds, dtype=np.int64))
         spans = next_spans
     return HierarchicalCode(order, levels)
-
-
-def hierarchy_from_classes(assignment: ClassAssignment) -> HierarchicalCode:
-    """Depth-1 hierarchy structurally identical to a flat class partition."""
-    return HierarchicalCode(assignment.order.copy(), [assignment.bounds.copy()])
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +354,6 @@ class HierarchicalSoftmax:
                    if name not in ("w_word", "b_word")}
         self._blocks = {}   # leaf -> [word ids, w_word block, b_word block]
 
-    def _word_blocks(self):
-        """(leaf of each word, leaf offsets into the word order, the word
-        order, the fewest words a leaf's word factor needs)."""
-        code = self.code
-        return code.group_of[-1], code.levels[-1], code.order, self.least
-
     def _add_word_block(self, leaf, dy, state):
         """Accumulate the word-factor gradient of one leaf."""
         block = self._blocks.get(leaf)
@@ -418,19 +382,19 @@ class HierarchicalSoftmax:
         """The ``w_word`` rows that scoring ``targets`` reads: every word of
         each leaf with a word factor they fall in, which are the rows
         ``grads()`` then holds."""
-        group_of, bounds, order, least = self._word_blocks()
-        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
+        code, bounds = self.code, self.code.levels[-1]
+        groups = np.unique(code.group_of[-1][np.asarray(targets, dtype=np.int64)])
         lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
-        lo, size = lo[size >= least], size[size >= least]
+        lo, size = lo[size >= self.least], size[size >= self.least]
         starts = np.repeat(lo - (np.cumsum(size) - size), size)
-        return order[starts + np.arange(size.sum())]
+        return code.order[starts + np.arange(size.sum())]
 
     @cached_property
     def _readers(self) -> list:
         """Per leaf, the index that reads its ``w_word`` rows: a slice when
         its word ids form one run, else the ids."""
-        _, bounds, order, _ = self._word_blocks()
-        blocks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        bounds = self.code.levels[-1]
+        blocks = [self.code.order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         return [slice(int(b[0]), int(b[-1]) + 1) if len(b) and np.all(np.diff(b) == 1)
                 else b for b in blocks]
 
@@ -528,22 +492,23 @@ class HierarchicalSoftmax:
 
 class ClassSoftmax(HierarchicalSoftmax):
     """Two-factor softmax (Goodman 2001): class given history, then word
-    within its class.  The depth-1 hierarchy over the assignment, whose
-    level is named ``w_class``/``b_class`` and whose one-word classes keep
-    a word factor (log 1 = 0) and their ``w_word`` rows."""
+    within its class.  The hierarchy over a depth-1 code, whose level is
+    named ``w_class``/``b_class`` and whose one-word classes keep a word
+    factor (log 1 = 0) and their ``w_word`` rows."""
 
     least = 1
 
-    def __init__(self, assignment: ClassAssignment, w_class, w_word,
+    def __init__(self, code: HierarchicalCode, w_class, w_word,
                  b_class=None, b_word=None):
-        self.assignment, self.w_class, self.b_class = assignment, w_class, b_class
-        super().__init__(hierarchy_from_classes(assignment), [w_class], w_word,
+        if code.depth != 1:
+            raise ValueError(f"a class layer needs a depth-1 code, got depth {code.depth}")
+        super().__init__(code, [w_class], w_word,
                          None if b_class is None else [b_class], b_word)
 
     @classmethod
-    def create(cls, assignment, n_h, rng, bias=False):
-        k, r = assignment.k, assignment.r
-        return cls(assignment, init_matrix(r, n_h, rng), init_matrix(k, n_h, rng),
+    def create(cls, code, n_h, rng, bias=False):
+        k, r = code.k, code.group_counts()[0]
+        return cls(code, init_matrix(r, n_h, rng), init_matrix(k, n_h, rng),
                    np.zeros(r) if bias else None, np.zeros(k) if bias else None)
 
     def _names(self, j):

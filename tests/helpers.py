@@ -538,12 +538,12 @@ class _Gathered:
         return out
 
     def word_rows(self, targets) -> np.ndarray:
-        group_of, bounds, order, least = self._word_blocks()
-        groups = np.unique(group_of[np.asarray(targets, dtype=np.int64)])
+        code, bounds = self.code, self.code.levels[-1]
+        groups = np.unique(code.group_of[-1][np.asarray(targets, dtype=np.int64)])
         lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
-        lo, size = lo[size >= least], size[size >= least]
+        lo, size = lo[size >= self.least], size[size >= self.least]
         starts = np.repeat(lo - (np.cumsum(size) - size), size)
-        return order[starts + np.arange(size.sum())]
+        return code.order[starts + np.arange(size.sum())]
 
     def _factor(self, weights, bias, rows, state, hit, accumulate):
         w = weights[rows]
@@ -560,19 +560,24 @@ class _Gathered:
 
 
 class _GatheredClass(_Gathered, ClassSoftmax):
+    @property
+    def b_class(self):
+        return None if self.level_b is None else self.level_b[0]
+
     def _pieces(self, target):
-        a = self.assignment
-        if not 0 <= target < a.k:
+        code = self.code
+        if not 0 <= target < code.k:
             raise ValueError(f"word {target} has no class assignment")
-        c = int(a.class_of[target])
-        lo, hi = a.bounds[c], a.bounds[c + 1]
-        rows = a.order[lo:hi]
-        return c, rows, int(a.position[target] - lo)
+        c = int(code.group_of[0][target])
+        lo, hi = code.levels[0][c], code.levels[0][c + 1]
+        rows = code.order[lo:hi]
+        return c, rows, int(code.position[target] - lo)
 
     def factor_logprobs(self, state, target):
         c, rows, slot = self._pieces(target)
-        lp_c, _ = self._factor(self.w_class, self.b_class,
-                               np.arange(self.assignment.r), state, c, False)
+        lp_c, _ = self._factor(self.level_w[0], self.b_class,
+                               np.arange(self.code.group_counts()[0]), state, c,
+                               False)
         lp_w, _ = self._factor(self.w_word, self.b_word, rows, state, slot, False)
         return lp_c, lp_w
 
@@ -582,8 +587,8 @@ class _GatheredClass(_Gathered, ClassSoftmax):
 
     def logprob_grad(self, state, x, target):
         c, rows, slot = self._pieces(target)
-        all_classes = np.arange(self.assignment.r)
-        lp_c, (dy_c, ds_c) = self._factor(self.w_class, self.b_class,
+        all_classes = np.arange(self.code.group_counts()[0])
+        lp_c, (dy_c, ds_c) = self._factor(self.level_w[0], self.b_class,
                                           all_classes, state, c, True)
         lp_w, (dy_w, ds_w) = self._factor(self.w_word, self.b_word,
                                           rows, state, slot, True)
@@ -653,7 +658,8 @@ def class_reference(strategy):
     gather their rows into copies, as the layers were first written: the
     reference for the layers that read their weights in place."""
     if isinstance(strategy, ClassSoftmax):
-        return _GatheredClass(strategy.assignment, strategy.w_class,
-                              strategy.w_word, strategy.b_class, strategy.b_word)
+        w_class, b_class = strategy.level_w[0], strategy.params().get("b_class")
+        return _GatheredClass(strategy.code, w_class, strategy.w_word, b_class,
+                              strategy.b_word)
     return _GatheredHier(strategy.code, strategy.level_w, strategy.w_word,
                          strategy.level_b, strategy.b_word)

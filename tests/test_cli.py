@@ -156,12 +156,12 @@ def _duplicate_first_word(partition):
 
 
 def _last_bound_past_k(partition):
-    partition.bounds[-1] += 1
+    partition.levels[0][-1] += 1
     return partition
 
 
 def _bounds_reversed(partition):
-    partition.bounds = partition.bounds[::-1].copy()
+    partition.levels[0] = partition.levels[0][::-1].copy()
     return partition
 
 
@@ -230,7 +230,7 @@ class TestArtifact:
         save_artifact(path, cfg, vocab, core, strategy, partition)
         _, _, _, strategy2, part2 = load_artifact(path)
         np.testing.assert_array_equal(part2.order, partition.order)
-        np.testing.assert_array_equal(part2.bounds, partition.bounds)
+        np.testing.assert_array_equal(part2.levels, partition.levels)
         state = np.random.default_rng(0).normal(size=cfg.n_h)
         for w in range(vocab.size):
             assert strategy2.logprob(state, None, w) == pytest.approx(
@@ -689,12 +689,96 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: artifact lacks tensor 'w_x'")
 
+    @pytest.mark.parametrize("spoil", ["corpus-replaced", "log-without-epochs"])
+    def test_stale_reproduce_directory_exits_2(self, spoil, tmp_path, capsys):
+        """A reproduce run reuses a model only if its epoch log is headed by
+        this corpus's provenance and records an epoch; otherwise it stops
+        and names the directory instead of scoring a stale model."""
+        root = tmp_path / "corpora"
+        root.mkdir()
+        (root / "brown.txt").write_text(TEXT * 4, encoding="utf-8")
+        args = ["reproduce", "3", "--corpus-root", root, "--outdir",
+                tmp_path / "rep", "--m", 3, "--n-h", 4, "--n-train", 40,
+                "--n-valid", 10, "--max-epochs", 1]
+        assert run_cli(*args) in (0, 3)
+        capsys.readouterr()
+        baseline = tmp_path / "rep" / "baseline"
+        if spoil == "corpus-replaced":   # not one word in common
+            (root / "brown.txt").write_text(TEXT.upper().replace(" ", "X ") * 4,
+                                            encoding="utf-8")
+        else:
+            log = baseline / "epochs.tsv"
+            log.write_text("".join(log.read_text().splitlines(True)[:-1]))
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: {baseline} ")
+
     def test_unknown_table_exits_2(self, tmp_path, capsys):
+        """The table id is checked first, before the corpus is looked for."""
         assert run_cli("reproduce", "99", "--corpus-root", tmp_path,
                        "--outdir", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: unknown table id '99'")
 
     def test_reproduce_without_corpus_exits_2(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.delenv("NNLM_CORPUS_ROOT", raising=False)
         assert run_cli("reproduce", "1", "--outdir", tmp_path / "rep") == 2
         assert "corpus" in capsys.readouterr().err
+
+
+def zipf_corpus(seed=0, n_words=80, n_tokens=2000) -> str:
+    """Newline-delimited sentences of Zipf-distributed words, about
+    ``n_tokens`` tokens in all."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, n_words + 1)
+    p /= p.sum()
+    lines, total = [], 0
+    while total < n_tokens:
+        n = int(rng.integers(3, 15))
+        lines.append(" ".join(f"w{i}" for i in rng.choice(n_words, size=n, p=p)))
+        total += n
+    return "\n".join(lines) + "\n"
+
+
+# table id -> the row labels its report prints
+REPRODUCE_ROWS = {
+    "1": ["FNN", "RNN", "LSTM"],
+    "2": ["uniform l=1", "uniform l=3", "uniform l=5", "PPL monotone in depth",
+          "freq l=1", "sqrt_freq l=1", "sqrt-freq <= freq",
+          "class/full train speed"],
+    "3": ["carryover", "baseline"],
+    "4": ["reversed"],
+    "dynamic": ["dynamic", "static"],
+}
+
+
+@pytest.fixture(scope="module")
+def reproduce_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reproduce")
+    (root / "brown.txt").write_text(zipf_corpus(), encoding="utf-8")
+    return root, root / "out"
+
+
+class TestReproduceSmoke:
+    """Every ``nnlm reproduce`` table runs end to end on a small synthetic
+    corpus; the bands are not checked, since a model this small misses
+    them."""
+
+    @pytest.mark.parametrize("table", list(REPRODUCE_ROWS))
+    def test_table_runs_and_writes_its_report(self, table, reproduce_dirs,
+                                              capsys):
+        root, outdir = reproduce_dirs
+        code = run_cli("reproduce", table, "--corpus-root", root, "--outdir",
+                       outdir, "--m", 4, "--n-h", 6, "--n-train", 120,
+                       "--n-valid", 20, "--max-epochs", 1)
+        assert code in (0, 3)
+        out = capsys.readouterr().out
+        report = (outdir / f"table_{table}.md").read_text(encoding="utf-8")
+        assert report.startswith("| run | reference | measured | band | status |\n")
+        assert out.endswith(report + "\n")
+        labels = [row.split(" | ")[0].removeprefix("| ")
+                  for row in report.splitlines()[2:]]
+        assert labels == REPRODUCE_ROWS[table]

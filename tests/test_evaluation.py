@@ -124,13 +124,13 @@ class TestCacheInterpolation:
     def test_class_cache_matches_word_cache_on_singleton_classes(self):
         """With every class holding exactly one word the class cache caches
         word identity, so both modes must agree to float precision."""
-        from nnlm.output_layer import ClassAssignment, ClassSoftmax
+        from nnlm.output_layer import ClassSoftmax, HierarchicalCode
         vocab = tiny_vocab()
         k = vocab.size
         rng = make_rng(6)
         p = RnnParameters.create(k, 3, 5, rng)
         core = RnnCore(p)
-        singles = ClassAssignment(rng.permutation(k), np.arange(k + 1))
+        singles = HierarchicalCode(rng.permutation(k), [np.arange(k + 1)])
         strategy = ClassSoftmax.create(singles, 5, rng)
         sents = [["a", "b", "a", "b", "c"]]
         word = perplexity(core, strategy, sents, vocab,

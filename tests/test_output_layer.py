@@ -4,12 +4,10 @@ import pytest
 from helpers import class_reference, dense, full_softmax_token_reference
 from nnlm.corpus import build_vocabulary
 from nnlm.numerics import init_matrix, make_rng
-from nnlm.output_layer import (ClassAssignment, ClassSoftmax, FullSoftmax,
-                               HierarchicalCode, HierarchicalSoftmax,
-                               assign_by_frequency,
+from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalCode,
+                               HierarchicalSoftmax, assign_by_frequency,
                                assign_by_sqrt_frequency, assign_uniform_random,
-                               default_num_classes, hierarchy_from_classes,
-                               hierarchy_uniform_random)
+                               default_num_classes, hierarchy_uniform_random)
 
 
 def fake_vocab(frequencies):
@@ -28,15 +26,16 @@ def fake_vocab(frequencies):
 class TestAssignments:
     def test_uniform_random_sizes_near_equal(self):
         a = assign_uniform_random(10, 3, make_rng(0))
-        sizes = np.diff(a.bounds)
+        assert a.depth == 1
+        sizes = np.diff(a.levels[0])
         assert sizes.sum() == 10 and sizes.max() - sizes.min() <= 1
 
     def test_uniform_random_is_a_partition(self):
         a = assign_uniform_random(20, 6, make_rng(1))
         assert sorted(a.order.tolist()) == list(range(20))
         for w in range(20):
-            c = int(a.class_of[w])
-            assert w in a.order[a.bounds[c]:a.bounds[c + 1]]
+            c = int(a.group_of[0, w])
+            assert w in a.order[a.levels[0][c]:a.levels[0][c + 1]]
 
     def test_uniform_random_deterministic_in_seed(self):
         a = assign_uniform_random(15, 4, make_rng(7))
@@ -48,42 +47,41 @@ class TestAssignments:
         # alone fills bin one, the rest land in bin two
         v = fake_vocab([5, 3, 1, 1])
         a = assign_by_frequency(v, 2)
-        np.testing.assert_array_equal(np.diff(a.bounds), [1, 3])
-        assert a.class_of[0] == 0
-        assert all(a.class_of[i] == 1 for i in (1, 2, 3))
+        assert a.depth == 1
+        np.testing.assert_array_equal(np.diff(a.levels[0]), [1, 3])
+        assert a.group_of[0, 0] == 0
+        assert all(a.group_of[0, i] == 1 for i in (1, 2, 3))
 
     def test_group_index_is_the_binary_search_with_empty_groups(self):
-        """class_of and group_of, read off the groups' lengths, equal the
-        binary search over the offsets, also where a group is empty."""
+        """group_of, read off the groups' lengths, equals the binary search
+        over the offsets, also where a group is empty."""
         order = make_rng(2).permutation(10)
         outer = np.array([0, 0, 4, 4, 10, 10])
         inner = np.array([0, 0, 2, 4, 4, 7, 10, 10])
-        a = ClassAssignment(order, outer)
         code = HierarchicalCode(order, [outer, inner])
-        for got, bounds in ((a.class_of, outer), (code.group_of[0], outer),
-                            (code.group_of[1], inner)):
-            want = np.searchsorted(bounds, a.position, side="right") - 1
+        for got, bounds in ((code.group_of[0], outer), (code.group_of[1], inner)):
+            want = np.searchsorted(bounds, code.position, side="right") - 1
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
     def test_frequency_binning_uniform_freqs_even_split(self):
         v = fake_vocab([2] * 8)
         a = assign_by_frequency(v, 4)
-        np.testing.assert_array_equal(np.diff(a.bounds), [2, 2, 2, 2])
+        np.testing.assert_array_equal(np.diff(a.levels[0]), [2, 2, 2, 2])
 
     def test_sqrt_binning_more_balanced_on_zipf(self):
         freqs = [max(1, int(1000 / (i + 1))) for i in range(60)]
         v = fake_vocab(freqs)
         r = 6
-        raw = np.diff(assign_by_frequency(v, r).bounds)
-        damped = np.diff(assign_by_sqrt_frequency(v, r).bounds)
+        raw = np.diff(assign_by_frequency(v, r).levels[0])
+        damped = np.diff(assign_by_sqrt_frequency(v, r).levels[0])
         assert damped.max() / max(damped.min(), 1) <= raw.max() / max(raw.min(), 1)
         assert damped.sum() == raw.sum() == 60
 
     def test_every_class_nonempty_after_mass_binning(self):
         v = fake_vocab([100, 1, 1, 1, 1, 1])
         a = assign_by_frequency(v, 3)
-        assert np.all(np.diff(a.bounds) >= 1)
+        assert np.all(np.diff(a.levels[0]) >= 1)
 
     def test_default_num_classes(self):
         assert default_num_classes(1) == 1
@@ -113,15 +111,17 @@ class TestHierarchy:
         sizes = np.diff(code.levels[-1])
         assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 2
 
-    def test_from_classes_matches_partition(self):
-        a = assign_uniform_random(12, 3, make_rng(5))
-        code = hierarchy_from_classes(a)
-        assert code.depth == 1
-        np.testing.assert_array_equal(code.group_of[0], a.class_of)
-
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             hierarchy_uniform_random(10, 0, make_rng(0))
+
+    def test_class_layer_rejects_a_deeper_code(self):
+        """A class layer has one level of groups: a depth-2 code, which a
+        hierarchical layer takes, is not a class assignment."""
+        code = hierarchy_uniform_random(12, 2, make_rng(6))
+        HierarchicalSoftmax.create(code, NH, make_rng(7))
+        with pytest.raises(ValueError, match="depth-1 code, got depth 2"):
+            ClassSoftmax.create(code, NH, make_rng(7))
 
 
 K, NH = 14, 5
@@ -161,7 +161,7 @@ class TestEquivalences:
         rng = make_rng(14)
         w = init_matrix(K, NH, rng)
         full = FullSoftmax(w)
-        one = ClassAssignment(np.arange(K), np.array([0, K]))
+        one = HierarchicalCode(np.arange(K), [np.array([0, K])])
         cls = ClassSoftmax(one, init_matrix(1, NH, rng), w.copy())
         state = rng.normal(size=NH)
         for target in range(K):
@@ -174,8 +174,7 @@ class TestEquivalences:
         w_class = init_matrix(4, NH, rng)
         w_word = init_matrix(K, NH, rng)
         cls = ClassSoftmax(a, w_class, w_word)
-        hier = HierarchicalSoftmax(hierarchy_from_classes(a),
-                                   [w_class.copy()], w_word.copy())
+        hier = HierarchicalSoftmax(a, [w_class.copy()], w_word.copy())
         state = rng.normal(size=NH)
         for target in range(K):
             assert abs(hier.logprob(state, None, target)
@@ -340,13 +339,12 @@ def in_place_layers():
             "sqrt_freq": ClassSoftmax.create(sqrt, 13, rng, bias=bias),
             "uniform": ClassSoftmax.create(assign_uniform_random(k, 7, rng), 13,
                                            rng, bias=bias),
-            "hier_depth1": HierarchicalSoftmax.create(hierarchy_from_classes(sqrt),
-                                                      13, rng, bias=bias),
+            "hier_depth1": HierarchicalSoftmax.create(sqrt, 13, rng, bias=bias),
             "hier_depth3": HierarchicalSoftmax.create(
                 hierarchy_uniform_random(k, 3, rng, branching=4), 13, rng,
                 bias=bias),
             "one_word_classes": ClassSoftmax.create(
-                ClassAssignment(rng.permutation(k), np.array([0, 1, 2, 9, 10, k])),
+                HierarchicalCode(rng.permutation(k), [np.array([0, 1, 2, 9, 10, k])]),
                 13, rng, bias=bias),
         }
         for name, layer in layers.items():
