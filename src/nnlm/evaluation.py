@@ -104,21 +104,20 @@ def perplexity(core, strategy, sentences: list[Sentence], vocab: Vocabulary,
         enc = vocab.encode(sent)
         inputs, targets = enc[:-1], enc[1:]
         tape = core.run(inputs, h0=h0)
-        targets = targets.tolist()
         if class_cache:
-            # the class cache needs the word factor; the class factor is
-            # computed once, and lp_c + lp_w is exactly ClassSoftmax.logprob
-            factors = [strategy.factor_logprobs(s, w)
-                       for s, w in zip(tape.states, targets)]
-            logps = [lp_c + lp_w for lp_c, lp_w in factors]
+            # the class cache needs the word factor: the sentence's two
+            # factors, whose sum is exactly what score_sentence returns
+            lp_c, lp_w = strategy.factor_logprobs(tape.states, targets)
+            logps, lp_w = (lp_c + lp_w).tolist(), lp_w.tolist()
         else:
             logps = strategy.score_sentence(tape.states, tape.xs, targets)[0].tolist()
+        targets = targets.tolist()
         total = 0.0
         for t, (target, lp) in enumerate(zip(targets, logps)):
             if use_cache and len(ring):
                 if class_cache:
                     pc = caching.class_cache_probability(
-                        ring, int(class_of[target]), cache) * math.exp(factors[t][1])
+                        ring, int(class_of[target]), cache) * math.exp(lp_w[t])
                 else:
                     pc = caching.cache_probability(ring, target, cache)
                 p = caching.interpolate(math.exp(lp), pc, cache.lam)

@@ -27,12 +27,15 @@ class Gradients(dict):
     a zero gradient.  A name listed in ``factors`` holds a factored
     gradient: ``self[name]`` is the left factor L, one row per parameter
     row, ``self.factors[name]`` the right factor R, and the gradient is the
-    product L @ R, which is never formed whole.  Every other name holds a
-    gradient of its parameter's full shape.  Tensors with one row per word
-    use a compact form, so a sentence costs work in the rows it touched or
-    in its length, not in the vocabulary size times the row width.  Scaling
-    a factored gradient scales its left factor, so no two entries may share
-    one.
+    product L @ R, which is never formed whole.  A name listed in both is
+    row-compact and factored: L has one row per listed id, and L @ R gives
+    those rows' gradient (a grouped layer's ``w_word``, whose L has one
+    column per position, nonzero on that position's leaf only).  Every
+    other name holds a gradient of its parameter's full shape.  Tensors
+    with one row per word use a compact form, so a sentence costs work in
+    the rows it touched or in its length, not in the vocabulary size times
+    the row width.  Scaling a factored gradient scales its left factor, so
+    no two entries may share one.
     """
 
     def __init__(self, *args, **kwargs):
@@ -50,10 +53,14 @@ class Gradients(dict):
         self[name] = values
         self.rows[name] = rows
 
-    def set_factors(self, name: str, left: np.ndarray, right: np.ndarray):
-        """Store the gradient ``left @ right`` as its two factors."""
+    def set_factors(self, name: str, left: np.ndarray, right: np.ndarray,
+                    rows: np.ndarray | None = None):
+        """Store the gradient ``left @ right`` as its two factors; with
+        ``rows`` (distinct), a row-compact one of those rows only."""
         self[name] = left
         self.factors[name] = right
+        if rows is not None:
+            self.rows[name] = rows
 
     def update(self, other):
         """Merge another gradient mapping, carrying its row ids and right
@@ -87,12 +94,21 @@ def log_softmax(y: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum())
 
 
+# past this many entries log_softmax_rows sums its exponentials a row at a
+# time (the same sums, bit for bit)
+ROWS_AT_ONCE = 1 << 16
+
+
 def log_softmax_rows(y: np.ndarray) -> np.ndarray:
-    """``log_softmax`` of every row of a float64 matrix, in place.  The
-    exponentials are summed a row at a time: a temporary the size of ``y``
-    (3.4 MB for 21 rows at k=20k) would be page-faulted in on every call."""
+    """``log_softmax`` of every row of a float64 matrix, in place.  A large
+    matrix's exponentials are summed a row at a time: a temporary the size
+    of ``y`` (3.4 MB for 21 rows at k=20k) would be page-faulted in on every
+    call, while a small one's row loop would cost more than its sums."""
     y -= y.max(axis=1, keepdims=True)
-    y -= np.log([np.exp(row).sum() for row in y])[:, None]
+    if y.size <= ROWS_AT_ONCE:
+        y -= np.log(np.exp(y).sum(axis=1))[:, None]
+    else:
+        y -= np.log([np.exp(row).sum() for row in y])[:, None]
     return y
 
 

@@ -3,11 +3,11 @@ hierarchical decomposition, plus the rules that partition the vocabulary.
 
 A partition is a ``HierarchicalCode``: every group contiguous in a stored
 word ordering, and a class assignment its depth-1 case.  The class layer is
-the depth-1 hierarchical one; its factors read weight rows in place where
-they form one run and gather them otherwise, and keep the word-factor
-gradients (``w_word``, ``b_word``) row-compact, one block per class or leaf
-a sentence hit; the full softmax keeps those of ``w_out`` and ``w_direct``
-as their rank-T factors (see ``numerics.Gradients``).
+the depth-1 hierarchical one.  Every strategy scores a whole sentence at
+once and keeps its word-indexed gradients as rank-T factors (see
+``numerics.Gradients``): the full softmax those of ``w_out`` and
+``w_direct``, the grouped one that of ``w_word``, row-compact over the
+leaves a sentence hit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .numerics import Gradients, init_matrix, log_softmax, log_softmax_rows
+# nothing here calls log_softmax any more, but bench/tracer.py counts the
+# calls made through output_layer.log_softmax, so the name stays
+from .numerics import Gradients, init_matrix, log_softmax, log_softmax_rows  # noqa: F401
 
 Arrays = dict[str, np.ndarray]
 
@@ -51,12 +53,6 @@ def _group_index(bounds: np.ndarray, position: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[position]
 
 
-def _positions(order: np.ndarray) -> np.ndarray:
-    position = np.empty(len(order), dtype=np.int64)
-    position[order] = np.arange(len(order))
-    return position
-
-
 @dataclass
 class HierarchicalCode:
     """Nested contiguous partition: ``levels[j]`` are the group offsets at
@@ -73,7 +69,8 @@ class HierarchicalCode:
         self.levels = [np.asarray(b, dtype=np.int64) for b in self.levels]
         check_partition(self.order, {f"level{j + 1}": b
                                      for j, b in enumerate(self.levels)})
-        self.position = _positions(self.order)
+        self.position = np.empty(self.k, dtype=np.int64)
+        self.position[self.order] = np.arange(self.k)
         self.group_of = np.stack([_group_index(b, self.position) for b in self.levels])
         # group g at depth j spans child groups
         # [child_lo[j][g], child_lo[j][g+1]) at depth j+1
@@ -115,6 +112,8 @@ def assign_uniform_random(k: int, r: int, rng) -> HierarchicalCode:
 
 def _assign_by_mass(freq_order: np.ndarray, mass: np.ndarray, r: int) -> HierarchicalCode:
     k = len(freq_order)
+    if r < 1:
+        raise ValueError(f"need at least one class, got r={r}")
     if r > k:
         raise ValueError(f"cannot split {k} words into {r} classes")
     cum = np.cumsum(mass)
@@ -140,8 +139,6 @@ def _freq_order(vocab) -> np.ndarray:
 def assign_by_frequency(vocab, r: int) -> HierarchicalCode:
     """Cumulative-frequency binning: word z joins class i when
     i/r < sum_{j<=z} f_j/F <= (i+1)/r over the frequency-descending order."""
-    if r < 1:
-        raise ValueError(f"need at least one class, got r={r}")
     order = _freq_order(vocab)
     return _assign_by_mass(order, vocab.frequencies[order].astype(np.float64), r)
 
@@ -149,12 +146,9 @@ def assign_by_frequency(vocab, r: int) -> HierarchicalCode:
 def assign_by_sqrt_frequency(vocab, r: int) -> HierarchicalCode:
     """Same binning over sqrt(f_j/F) masses; equalizes class sizes on
     Zipf-like vocabularies."""
-    if r < 1:
-        raise ValueError(f"need at least one class, got r={r}")
     order = _freq_order(vocab)
     f = vocab.frequencies[order].astype(np.float64)
-    total = f.sum()
-    return _assign_by_mass(order, np.sqrt(f / total), r)
+    return _assign_by_mass(order, np.sqrt(f / f.sum()), r)
 
 
 def hierarchy_uniform_random(k: int, depth: int, rng, branching: int | None = None
@@ -247,17 +241,6 @@ class FullSoftmax:
             y = y + self.b_out[words]
         return y
 
-    def _logp(self, y):
-        return log_softmax(-y) if self.energy else log_softmax(y)
-
-    def logprob(self, state, x, target) -> float:
-        if not 0 <= target < self.k:
-            raise ValueError(f"target {target} out of range for k={self.k}")
-        return float(self._logp(self.scores(state, x))[target])
-
-    def log_probs(self, state, x=None) -> np.ndarray:
-        return self._logp(self.scores(state, x))
-
     def score_sentence(self, states, xs, targets, grad=False):
         """``(logps, d_states, d_inputs)`` for a sentence whose target t is
         scored from row t of ``states`` (and ``xs``): one GEMM and a row-wise
@@ -302,13 +285,19 @@ class FullSoftmax:
 class HierarchicalSoftmax:
     """Product of per-level branch softmaxes down to a word-in-leaf softmax
     (Morin & Bengio 2005): the one grouped engine, of which a flat class
-    layer is the depth-1 case.
-
-    Every internal node owns its own rows of the level matrix, so node
-    parameters are independent blocks conditioned on the path.
-    """
+    layer is the depth-1 case.  Every internal node owns its own rows of
+    the level matrix, so node parameters are independent blocks conditioned
+    on the path.  A sentence is scored at once: the top level by one GEMM; a
+    deeper level, and the leaves of at most ``NARROW`` words, by one batched
+    product over each position's gathered sibling rows, padded with scores
+    of -inf; a wider leaf by one GEMM over its positions, reading its
+    ``w_word`` rows in place where their ids form one run."""
 
     least = 2   # a leaf of fewer words has no word factor
+    # the widest leaf scored by the padded gather: on class layers at
+    # k=40003, n_h=200, it matched or beat one GEMM per leaf up to leaves of
+    # 64 words and drew level near 100
+    NARROW = 64
 
     def __init__(self, code: HierarchicalCode, level_w: list, w_word,
                  level_b: list | None = None, b_word=None):
@@ -323,13 +312,8 @@ class HierarchicalSoftmax:
     def create(cls, code, n_h, rng, bias=False):
         level_w = [init_matrix(g, n_h, rng) for g in code.group_counts()]
         level_b = [np.zeros(g) for g in code.group_counts()] if bias else None
-        return cls(
-            code,
-            level_w,
-            init_matrix(code.k, n_h, rng),
-            level_b,
-            np.zeros(code.k) if bias else None,
-        )
+        return cls(code, level_w, init_matrix(code.k, n_h, rng), level_b,
+                   np.zeros(code.k) if bias else None)
 
     @property
     def k(self):
@@ -350,144 +334,160 @@ class HierarchicalSoftmax:
         return out
 
     def zero_grads(self):
-        self._g = {name: np.zeros_like(a) for name, a in self.params().items()
-                   if name not in ("w_word", "b_word")}
-        self._blocks = {}   # leaf -> [word ids, w_word block, b_word block]
-
-    def _add_word_block(self, leaf, dy, state):
-        """Accumulate the word-factor gradient of one leaf."""
-        block = self._blocks.get(leaf)
-        if block is None:
-            lo, hi = self.code.levels[-1][leaf:leaf + 2]
-            self._blocks[leaf] = [self.code.order[lo:hi], np.outer(dy, state), dy]
-        else:
-            block[1] += np.outer(dy, state)
-            block[2] += dy
+        self._g = Gradients()    # logprob_grad fills it every sentence
 
     def grads(self) -> Gradients:
-        """Dense gradients for the level factors; ``w_word`` and ``b_word``
-        row-compact over the words of every leaf hit since ``zero_grads``
-        (leaves are disjoint, so the rows are distinct)."""
-        out = Gradients(self._g)
-        blocks = list(self._blocks.values())
-        rows = np.concatenate([np.zeros(0, np.int64)] + [b[0] for b in blocks])
-        out.set_rows("w_word", rows, np.concatenate(
-            [np.zeros((0, self.w_word.shape[1]))] + [b[1] for b in blocks]))
-        if self.b_word is not None:
-            out.set_rows("b_word", rows, np.concatenate(
-                [np.zeros(0)] + [b[2] for b in blocks]))
-        return out
+        """Dense level gradients; ``w_word`` (factored) and ``b_word``
+        row-compact over the words of each leaf hit, in the order first hit."""
+        return self._g
+
+    def _word_leaves(self, targets):
+        """The leaves with a word factor that ``targets`` fall in, in the
+        order first hit, and each target's index among them (-1 for none)."""
+        leaf = self.code.group_of[-1][targets]
+        has = np.diff(self.code.levels[-1])[leaf] >= self.least
+        leaves, first, inv = np.unique(leaf[has], return_index=True,
+                                       return_inverse=True)
+        block = np.full(len(leaf), -1)
+        block[has] = np.argsort(np.argsort(first))[inv]
+        return leaves[np.argsort(first)], block
+
+    def _rows(self, leaves) -> np.ndarray:
+        """The word ids of ``leaves``, leaf after leaf."""
+        bounds = self.code.levels[-1]
+        lo, size = bounds[leaves], bounds[leaves + 1] - bounds[leaves]
+        starts = np.repeat(lo - (np.cumsum(size) - size), size)
+        return self.code.order[starts + np.arange(size.sum())]
 
     def word_rows(self, targets) -> np.ndarray:
-        """The ``w_word`` rows that scoring ``targets`` reads: every word of
-        each leaf with a word factor they fall in, which are the rows
-        ``grads()`` then holds."""
-        code, bounds = self.code, self.code.levels[-1]
-        groups = np.unique(code.group_of[-1][np.asarray(targets, dtype=np.int64)])
-        lo, size = bounds[groups], bounds[groups + 1] - bounds[groups]
-        lo, size = lo[size >= self.least], size[size >= self.least]
-        starts = np.repeat(lo - (np.cumsum(size) - size), size)
-        return code.order[starts + np.arange(size.sum())]
+        """The ``w_word`` rows that scoring ``targets`` reads, leaf by leaf
+        id; ``grads()`` then holds the same rows, leaves in first-hit order."""
+        leaves, _ = self._word_leaves(np.asarray(targets, dtype=np.int64))
+        return self._rows(np.sort(leaves))
 
     @cached_property
     def _readers(self) -> list:
-        """Per leaf, the index that reads its ``w_word`` rows: a slice when
-        its word ids form one run, else the ids."""
+        """Per leaf, a slice reading its ``w_word`` rows, or their ids."""
         bounds = self.code.levels[-1]
         blocks = [self.code.order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         return [slice(int(b[0]), int(b[-1]) + 1) if len(b) and np.all(np.diff(b) == 1)
                 else b for b in blocks]
 
-    def _factor(self, weights, bias, rows, state, hit, accumulate):
-        """log-softmax factor over `rows` (a slice read in place, or ids that
-        gather a copy) of a weight matrix at position `hit`."""
-        w = weights[rows]
-        y = w @ state
-        if bias is not None:
-            y = y + bias[rows]
-        logp = log_softmax(y)
-        if not accumulate:
-            return float(logp[hit]), None
-        dy = np.exp(logp)
-        dy[hit] -= 1.0
-        d_state = w.T @ dy
-        return float(logp[hit]), (dy, d_state)
-
-    def _path(self, target):
-        """([(level, siblings, branch)], leaf, leaf size, slot in the leaf)."""
+    def _score(self, states, targets, grad):
+        """(path log-probs, word log-probs, d_states) of a sentence; a leaf
+        without a word factor gives log 1 = 0.  ``grad`` puts the parameter
+        gradients in ``grads()``, else d_states is None."""
         code = self.code
-        if not 0 <= target < code.k:
-            raise ValueError(f"word {target} has no hierarchical code")
-        groups = code.group_of[:, target].tolist()
-        path = []
-        for j, g in enumerate(groups):
-            if j == 0:
-                lo, hi = 0, len(code.levels[0]) - 1
-            else:
-                parent = groups[j - 1]
-                lo, hi = code.child_lo[j - 1][parent:parent + 2].tolist()
-            path.append((j, slice(lo, hi), g - lo))
-        leaf = groups[-1]
-        wlo, whi = code.levels[-1][leaf:leaf + 2].tolist()
-        return path, leaf, whi - wlo, int(code.position[target]) - wlo
-
-    def _walk(self, state, target, accumulate):
-        """(path log-prob, word log-prob, d_state); a leaf without a word
-        factor gives log 1 = 0.  ``accumulate`` adds the gradients to
-        ``grads()``, else d_state is None.  Sums start from their first term,
-        so depth 1 gives exactly lp_c + lp_w and ds_c + ds_w."""
-        path, leaf, size, slot = self._path(target)
-        lp_path = d_state = None
-        for j, groups, hit in path:
+        targets = np.asarray(targets, dtype=np.int64)
+        if np.any((targets < 0) | (targets >= code.k)):
+            raise ValueError(f"target out of range for k={code.k}")
+        T = len(targets)
+        S = np.asarray(states, dtype=np.float64).reshape(T, self.w_word.shape[1])
+        lp_path = d_S = None
+        for j, w in enumerate(self.level_w):
             b = None if self.level_b is None else self.level_b[j]
-            lp, step = self._factor(self.level_w[j], b, groups, state, hit, accumulate)
+            hit, idx, mask = code.group_of[j][targets], slice(None), None
+            if j:
+                parent = code.group_of[j - 1][targets]
+                lo = code.child_lo[j - 1][parent]
+                idx, mask = _padded(lo, code.child_lo[j - 1][parent + 1] - lo)
+                hit = hit - lo
+            lp, dY, dS = _factor(w, b, S, hit, grad, idx, mask)
             lp_path = lp if lp_path is None else lp_path + lp
-            if accumulate:
-                dy, ds = step
-                d_state = ds if d_state is None else d_state + ds
+            if grad:
+                d_S = dS if d_S is None else d_S + dS
+                M = dY.T if j == 0 else np.zeros((len(w), T))
+                if j:
+                    M[idx[mask], np.nonzero(mask)[0]] = dY[mask]
                 w_name, b_name = self._names(j)
-                self._g[w_name][groups] += np.outer(dy, state)
+                self._g[w_name] = M @ S
                 if b is not None:
-                    self._g[b_name][groups] += dy
-        lp_word = 0.0
-        if size >= self.least:
-            lp_word, step = self._factor(self.w_word, self.b_word, self._readers[leaf],
-                                         state, slot, accumulate)
-            if accumulate:
-                dy, ds = step
-                d_state = d_state + ds
-                self._add_word_block(leaf, dy, state)
-        return lp_path, lp_word, d_state
+                    self._g[b_name] = M.sum(axis=1)
 
-    def factor_logprobs(self, state, target):
-        """(path log-prob, word log-prob) without touching gradients; for a
-        class layer, (log P(class|h), log P(word|class,h))."""
-        lp_path, lp_word, _ = self._walk(state, target, False)
-        return lp_path, lp_word
+        bounds = code.levels[-1]
+        leaf = code.group_of[-1][targets]
+        lo, size = bounds[leaf], bounds[leaf + 1] - bounds[leaf]
+        slot = code.position[targets] - lo
+        leaves, block = self._word_leaves(targets)
+        sizes = bounds[leaves + 1] - bounds[leaves]
+        offs = np.cumsum(sizes) - sizes
+        lp_word = np.zeros(T)
+        L = np.zeros((sizes.sum(), T)) if grad else None
+        narrow = np.flatnonzero((block >= 0) & (size <= self.NARROW))
+        wide = np.flatnonzero((block >= 0) & (size > self.NARROW))
+        if len(narrow):
+            at, mask = _padded(lo[narrow], size[narrow])
+            lp, dY, dS = _factor(self.w_word, self.b_word, S[narrow],
+                                 slot[narrow], grad, code.order[at], mask)
+            lp_word[narrow] = lp
+            if grad:
+                d_S[narrow] += dS
+                at += (offs[block[narrow]] - lo[narrow])[:, None]
+                L[at[mask], narrow[np.nonzero(mask)[0]]] = dY[mask]
+        for i in np.unique(block[wide]).tolist():
+            P = wide[block[wide] == i]
+            lp, dY, dS = _factor(self.w_word, self.b_word, S[P], slot[P], grad,
+                                 self._readers[leaves[i]])
+            lp_word[P] = lp
+            if grad:
+                d_S[P] += dS
+                L[offs[i]:offs[i] + sizes[i], P] = dY.T
+        if grad:
+            # dW_word = L S has a block of rows per leaf: keep its factors
+            rows = self._rows(leaves)
+            self._g.set_factors("w_word", L, S, rows)
+            if self.b_word is not None:
+                self._g.set_rows("b_word", rows, L.sum(axis=1))
+        return lp_path, lp_word, d_S
 
-    def logprob(self, state, x, target) -> float:
-        lp_path, lp_word = self.factor_logprobs(state, target)
-        return lp_path + lp_word
+    def factor_logprobs(self, states, targets):
+        """(path, word) log-probs of a sentence, target t scored from row t
+        of ``states``; for a class layer, log P(class|h), log P(word|class,h)."""
+        return self._score(states, targets, False)[:2]
 
-    def logprob_grad(self, state, x, target):
-        lp_path, lp_word, d_state = self._walk(state, target, True)
-        return lp_path + lp_word, d_state, None
-
-    def log_probs(self, state, x=None) -> np.ndarray:
-        return np.array([self.logprob(state, x, w) for w in range(self.k)])
+    def logprob_grad(self, states, targets):
+        """(log-probs, d_states) of a sentence, its parameter gradients put
+        in ``grads()``; run after ``zero_grads``."""
+        lp_path, lp_word, d_states = self._score(states, targets, True)
+        return lp_path + lp_word, d_states
 
     def score_sentence(self, states, xs, targets, grad=False):
-        """``FullSoftmax.score_sentence`` as a loop over ``logprob`` or, after
-        ``zero_grads``, ``logprob_grad``: each position's arithmetic is that
-        of single-token scoring.  ``d_inputs`` is always None."""
-        targets = [int(w) for w in targets]
+        """``FullSoftmax.score_sentence`` through ``factor_logprobs`` or
+        ``logprob_grad``, with the same ``logps`` bits; no ``d_inputs``."""
         if not grad:
-            return np.array([self.logprob(s, None, w)
-                             for s, w in zip(states, targets)]), None, None
+            lp_path, lp_word = self.factor_logprobs(states, targets)
+            return lp_path + lp_word, None, None
         self.zero_grads()
-        steps = [self.logprob_grad(s, None, w) for s, w in zip(states, targets)]
-        return (np.array([lp for lp, _, _ in steps]),
-                np.array([ds for _, ds, _ in steps]), None)
+        return (*self.logprob_grad(states, targets), None)
+
+
+def _padded(lo, width):
+    """Per row, the indices lo, lo+1, ... of ``width`` entries, padded to
+    the widest with lo, and the mask of the real entries."""
+    a = np.arange(width.max())
+    mask = a < width[:, None]
+    return np.where(mask, lo[:, None] + a, lo[:, None]), mask
+
+
+def _factor(w, b, S, slot, grad, rows=slice(None), mask=None):
+    """(log-prob of ``slot``, dL/dscores, d_states; the last two None
+    without ``grad``) of a log-softmax per row of ``S`` over ``rows`` of
+    ``w`` (and ``b``): the same rows for every position or, with ``mask``,
+    a padded row of them per position, scored -inf where not ``mask``."""
+    w = w[rows]
+    Y = S @ w.T if mask is None else np.matmul(w, S[:, :, None])[:, :, 0]
+    if b is not None:
+        Y += b[rows]
+    if mask is not None:
+        Y[~mask] = -np.inf
+    log_softmax_rows(Y)
+    hit = (np.arange(len(Y)), slot)
+    lp = Y[hit]
+    if not grad:
+        return lp, None, None
+    dY = np.exp(Y, out=Y)
+    dY[hit] -= 1.0
+    return lp, dY, dY @ w if mask is None else np.matmul(dY[:, None, :], w)[:, 0, :]
 
 
 class ClassSoftmax(HierarchicalSoftmax):

@@ -12,7 +12,10 @@ every parameter tensor at the end.
 
 Regenerate ``golden.json`` (from the repository root) with
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py [CASE ...]
+
+which rewrites the named cases, or every case when none is named, and keeps
+the others as they are.
 
 Regenerating the file changes a check: do it only when the computed numbers
 are meant to change, and say why.
@@ -21,6 +24,7 @@ are meant to change, and say why.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -66,6 +70,15 @@ def _cases() -> dict[str, tuple[RunConfig, str]]:
             cases[f"dynamic-direct{int(direct)}-bias{int(bias)}"] = (
                 replace(BASE, arch="rnn", strategy="full", direct=direct,
                         bias=bias, clip=0.05), "dynamic")
+    # the grouped layers' row-compact word-factor update, eager under
+    # dynamic evaluation (with beta_dyn) and lazy under training
+    cases["dynamic-class"] = (replace(BASE, arch="rnn", strategy="class",
+                                      assign="sqrt_freq", clip=0.05), "dynamic")
+    cases["dynamic-hier"] = (replace(BASE, arch="lstm", strategy="hier",
+                                     assign="uniform", levels=2, clip=0.05),
+                             "dynamic")
+    cases["class-uniform"] = (replace(BASE, arch="rnn", strategy="class",
+                                      assign="uniform"), "static")
     return cases
 
 
@@ -137,11 +150,12 @@ def run_case(name: str) -> dict:
             "tensors": tensors}
 
 
-def main():
-    golden = {name: run_case(name) for name in CASES}
+def main(names):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if names else {}
+    golden.update({name: run_case(name) for name in names or CASES})
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -6,8 +6,9 @@ per-example importance-sampling gradient, one-context scoring for the FNN
 and one-step scoring for the RNN, the per-token reference for sentence
 scoring by the full softmax, the two-branch logistic function, the effective
 sample size of importance weights, the corpus reader that runs documents
-together, the vocabulary's TSV reader and decoder, the deque cache and its dense distribution, and the gathered
-class and hierarchical factors."""
+together, the vocabulary's TSV reader and decoder, the deque cache and its
+dense distribution, one token's and one state's log-probs through the
+sentence scorer, and the per-token class and hierarchical factors."""
 
 import math
 from collections import deque
@@ -66,11 +67,11 @@ def dense(grads, arrays):
     factors = getattr(grads, "factors", {})
     out = {}
     for name, g in grads.items():
+        if name in factors:
+            g = g @ factors[name]
         if name in rows:
             out[name] = np.zeros_like(arrays[name])
             out[name][rows[name]] = g
-        elif name in factors:
-            out[name] = g @ factors[name]
         else:
             out[name] = np.array(g, copy=True)
     return out
@@ -109,8 +110,21 @@ def dense_reference_epoch(core, strategy, sentences, vocab, config, rng,
 def sentence_nll(core, strategy, enc):
     inputs, targets = enc[:-1], enc[1:]
     tape = core.run(inputs)
-    return -sum(strategy.logprob(tape.states[t], tape.xs[t], int(tg))
-                for t, tg in enumerate(targets))
+    return -float(strategy.score_sentence(tape.states, tape.xs, targets)[0].sum())
+
+
+def logprob(strategy, state, x, target) -> float:
+    """One token's log-prob: a one-position sentence."""
+    xs = None if x is None else [x]
+    return float(strategy.score_sentence([state], xs, [target])[0][0])
+
+
+def log_probs(strategy, state, x=None) -> np.ndarray:
+    """Every word's log-prob after one state: a sentence of k copies of the
+    state whose targets are the k words."""
+    k = strategy.k
+    xs = None if x is None else np.tile(x, (k, 1))
+    return strategy.score_sentence(np.tile(state, (k, 1)), xs, np.arange(k))[0]
 
 
 def numeric_grads(arrays, loss_fn, h=1e-5):
@@ -514,9 +528,31 @@ def cache_distribution(cache, k: int, config: CacheConfig) -> np.ndarray:
 
 
 class _Gathered:
-    """The grouped factors as first written: every factor gathers its weight
-    rows (``np.arange`` over all classes or a level's siblings, the word ids
-    of a class or leaf) into a copy before its gemv."""
+    """The grouped factors as first written, one token at a time: every
+    factor gathers its weight rows (``np.arange`` over all classes or a
+    level's siblings, the word ids of a class or leaf) into a copy before
+    its gemv, and the gradients accumulate token by token, ``w_word``'s as
+    one dense block per leaf in the order first hit."""
+
+    def zero_grads(self):
+        self._g = {name: np.zeros_like(a) for name, a in self.params().items()
+                   if name not in ("w_word", "b_word")}
+        self._blocks = {}   # leaf -> [word ids, w_word block, b_word block]
+
+    def log_probs(self, state, x=None) -> np.ndarray:
+        return np.array([self.logprob(state, x, w) for w in range(self.k)])
+
+    def score_sentence(self, states, xs, targets, grad=False):
+        """The sentence scorer's results as a loop over ``logprob`` or, after
+        ``zero_grads``, ``logprob_grad``."""
+        targets = [int(w) for w in targets]
+        if not grad:
+            return np.array([self.logprob(s, None, w)
+                             for s, w in zip(states, targets)]), None, None
+        self.zero_grads()
+        steps = [self.logprob_grad(s, None, w) for s, w in zip(states, targets)]
+        return (np.array([lp for lp, _, _ in steps]),
+                np.array([ds for _, ds, _ in steps]), None)
 
     def _add_word_block(self, group, rows, dy, state):
         block = self._blocks.get(group)
@@ -654,9 +690,9 @@ class _GatheredHier(_Gathered, HierarchicalSoftmax):
 
 
 def class_reference(strategy):
-    """A class or hierarchical layer over the same weights whose factors
-    gather their rows into copies, as the layers were first written: the
-    reference for the layers that read their weights in place."""
+    """A class or hierarchical layer over the same weights that scores one
+    token at a time and gathers its rows into copies, as the layers were
+    first written: the reference for the sentence engine."""
     if isinstance(strategy, ClassSoftmax):
         w_class, b_class = strategy.level_w[0], strategy.params().get("b_class")
         return _GatheredClass(strategy.code, w_class, strategy.w_word, b_class,

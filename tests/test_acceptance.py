@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from helpers import (GRADIENT_CONFIGS, cache_distribution,
-                     check_model_gradients, dense, effective_sample_size,
-                     example_gradient, fnn_forward, make_model, rnn_step)
+                     check_model_gradients, class_reference, dense,
+                     effective_sample_size, example_gradient, fnn_forward,
+                     full_softmax_token_reference, log_probs, make_model,
+                     rnn_step)
 from nnlm.caching import CacheConfig, WordCache
 from nnlm.cli import CORPUS_ROOT_ENV, main as cli_main
 from nnlm.corpus import CorpusSplit, build_vocabulary
@@ -75,7 +77,7 @@ def test_criterion_02_normalization_suite():
     for strategy in strategies:
         for trial in range(3):
             state, x = rng.normal(size=n_h), rng.normal(size=4)
-            total = float(np.exp(strategy.log_probs(state, x)).sum())
+            total = float(np.exp(log_probs(strategy, state, x)).sum())
             worst = max(worst, abs(total - 1.0))
     # cache interpolation of two normalized distributions
     ring = WordCache(16)
@@ -83,8 +85,8 @@ def test_criterion_02_normalization_suite():
         ring.push(int(w))
     for decay in ("constant", "linear", "exponential"):
         cfg = CacheConfig(lam=0.4, decay=decay)
-        p_model = np.exp(strategies[0].log_probs(rng.normal(size=n_h),
-                                                 rng.normal(size=4)))
+        p_model = np.exp(log_probs(strategies[0], rng.normal(size=n_h),
+                                   rng.normal(size=4)))
         mix = cfg.lam * p_model + (1 - cfg.lam) * cache_distribution(ring, k, cfg)
         worst = max(worst, abs(float(mix.sum()) - 1.0))
     verdict(2, worst <= 1e-10,
@@ -102,19 +104,22 @@ def test_criterion_03_equivalence_oracles():
     cls1 = ClassSoftmax(HierarchicalCode(np.arange(k), [np.array([0, k])]),
                         rng.uniform(-0.1, 0.1, size=(1, n_h)), w.copy())
     state = rng.normal(size=n_h)
-    for t in range(k):
-        worst = max(worst, abs(cls1.logprob(state, None, t)
-                               - full.logprob(state, None, t)))
+    states, words = np.tile(state, (k, 1)), np.arange(k)
+    want = full_softmax_token_reference(full, states, states, words)[0]
+    got = cls1.score_sentence(states, None, words)[0]
+    worst = max(worst, float(np.abs(got - want).max()))
 
-    # depth-1 hierarchy == flat class softmax
+    # depth-1 hierarchy == flat class softmax, each side against the
+    # per-token reference so that the engine is not compared with itself
     a = assign_uniform_random(k, 4, rng)
     wc = rng.uniform(-0.1, 0.1, size=(4, n_h))
     ww = rng.uniform(-0.1, 0.1, size=(k, n_h))
     cls = ClassSoftmax(a, wc, ww)
     hier = HierarchicalSoftmax(a, [wc.copy()], ww.copy())
-    for t in range(k):
-        worst = max(worst, abs(hier.logprob(state, None, t)
-                               - cls.logprob(state, None, t)))
+    want = np.array([class_reference(cls).logprob(state, None, t) for t in words])
+    for layer in (cls, hier):
+        got = layer.score_sentence(states, None, words)[0]
+        worst = max(worst, float(np.abs(got - want).max()))
 
     # recurrent model with zero recurrence == 2-gram feed-forward model
     rnn = make_model("rnn", seed=2, k=k, m=m, n_h=n_h)

@@ -1,9 +1,9 @@
 """The benchmark's tracer (bench/tracer.py) wraps library functions and
 methods by name and reads every gradient as an ndarray, the left factor of a
 factored one included.  Running it over one training epoch (and, for the
-full softmax, a dynamic evaluation) here makes a renamed hook or a gradient
-of another type fail in the unit tests rather than in a traced benchmark
-run."""
+full softmax and the hierarchy, a dynamic evaluation; for the class layer, a
+class-cache evaluation) here makes a renamed hook or a gradient of another
+type fail in the unit tests rather than in a traced benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -12,7 +12,9 @@ import pytest
 
 from helpers import make_model
 from nnlm import training
+from nnlm.caching import CacheConfig
 from nnlm.corpus import build_vocabulary
+from nnlm.evaluation import perplexity
 from nnlm.numerics import make_rng
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -46,16 +48,21 @@ def test_traced_epoch(kind):
             training.train_epoch(core, strategy, sents, sents[:1], vocab, cfg,
                                  make_rng(0), cfg.alpha, 1, proposal)
         phases = ["bench.train"]
-        if kind == "full":
+        if kind in ("full", "hier"):
             phases.append("bench.dyn_eval")
             with tracer.span("bench.dyn_eval"):
                 training.dynamic_evaluate(core, strategy, sents, vocab, 0.05)
+        if kind == "class":
+            with tracer.span("bench.cache_eval"):
+                perplexity(core, strategy, sents, vocab,
+                           cache=CacheConfig(lam=0.5, mode="class"))
     finally:
         tracer.restore()
     assert training.update_parameters.__module__ == "nnlm.training"
     counts = tracer.counts
     for phase in phases:
         updated = counts[(phase, "rows_updated")]
+        assert updated > 0
         assert 0 < counts[(phase, "rows_nonzero")] <= updated
         if kind == "full":
             # every step writes all k rows of w_out, and of w_direct
@@ -73,4 +80,11 @@ def test_traced_epoch(kind):
     else:
         expected |= {"training.sentence_gradients", "output_layer.zero_grads",
                      "output_layer.logprob_grad"}
+    if kind == "class":
+        # the class cache scores each sentence's two factors in one call
+        prof = tracer.profile()
+        calls = prof[("bench.cache_eval", "output_layer.factor_logprobs")]["calls"]
+        assert calls == len(sents)
+    if kind == "hier":
+        expected.add("training.dynamic_evaluate")
     assert expected <= names

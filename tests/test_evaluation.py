@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_model
+from helpers import full_softmax_token_reference, make_model
 from nnlm.artifact import build_model
 from nnlm.caching import CacheConfig
 from nnlm.config import RunConfig
@@ -68,8 +68,10 @@ class TestPerplexityOracles:
         for sent in sents:
             enc = vocab.encode(sent)
             tape = core.run(enc[:-1])
-            for t, tgt in enumerate(enc[1:]):
-                prob = math.exp(strategy.logprob(tape.states[t], tape.xs[t], int(tgt)))
+            logps = full_softmax_token_reference(strategy, tape.states, tape.xs,
+                                                 enc[1:])[0]
+            for lp in logps:
+                prob = math.exp(lp)
                 mantissa, e = math.frexp(mantissa * prob)
                 exponent += e
                 count += 1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import class_reference, dense, full_softmax_token_reference
+from helpers import (class_reference, dense, full_softmax_token_reference,
+                     log_probs, logprob)
 from nnlm.corpus import build_vocabulary
 from nnlm.numerics import init_matrix, make_rng
 from nnlm.output_layer import (ClassSoftmax, FullSoftmax, HierarchicalCode,
@@ -115,6 +116,30 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             hierarchy_uniform_random(10, 0, make_rng(0))
 
+    def test_degenerate_code_scores_as_the_token_reference(self):
+        """``output.levels = 20`` on 12 words is accepted: a code deeper
+        than log2 k, whose lower levels are groups of one child and whose
+        leaves are single words without a word factor.  The padded levels
+        still give a distribution and the per-token reference's numbers."""
+        code = hierarchy_uniform_random(12, 20, make_rng(60))
+        assert code.depth == 20 and np.all(np.diff(code.levels[-1]) == 1)
+        assert any(np.all(np.diff(lo) <= 1) for lo in code.child_lo)
+        hier = HierarchicalSoftmax.create(code, NH, make_rng(61), bias=True)
+        for a in hier.params().values():
+            a[:] = make_rng(62).normal(size=a.shape)
+        states = make_rng(63).normal(size=(4, NH))
+        ref = class_reference(hier)
+        for state in states:
+            lp = log_probs(hier, state)
+            assert abs(np.exp(lp).sum() - 1.0) <= 1e-10
+            assert_close_rel(lp, ref.log_probs(state))
+        targets = [0, 11, 5, 5]
+        lp, ds, _ = hier.score_sentence(states, None, targets, grad=True)
+        lp_ref, ds_ref, _ = ref.score_sentence(states, None, targets, grad=True)
+        assert_close_rel(lp, lp_ref)
+        assert_close_rel(ds, ds_ref)
+        assert_same_grads(hier.grads(), ref.grads(), hier.params())
+
     def test_class_layer_rejects_a_deeper_code(self):
         """A class layer has one level of groups: a depth-2 code, which a
         hierarchical layer takes, is not a class assignment."""
@@ -144,14 +169,14 @@ class TestNormalization:
         for trial in range(3):
             state = rng.normal(size=NH)
             x = rng.normal(size=3)
-            lp = strategy.log_probs(state, x)
+            lp = log_probs(strategy, state, x)
             assert abs(np.exp(lp).sum() - 1.0) <= 1e-10
 
     def test_energy_convention_reverses_preference(self):
         w = init_matrix(6, NH, make_rng(12))
         state = make_rng(13).normal(size=NH)
-        plain = FullSoftmax(w).log_probs(state)
-        energy = FullSoftmax(w, energy=True).log_probs(state)
+        plain = log_probs(FullSoftmax(w), state)
+        energy = log_probs(FullSoftmax(w, energy=True), state)
         assert plain.argmax() == energy.argmin()
         assert abs(np.exp(energy).sum() - 1.0) <= 1e-10
 
@@ -163,10 +188,10 @@ class TestEquivalences:
         full = FullSoftmax(w)
         one = HierarchicalCode(np.arange(K), [np.array([0, K])])
         cls = ClassSoftmax(one, init_matrix(1, NH, rng), w.copy())
-        state = rng.normal(size=NH)
-        for target in range(K):
-            assert abs(cls.logprob(state, None, target)
-                       - full.logprob(state, None, target)) <= 1e-12
+        states, words = np.tile(rng.normal(size=NH), (K, 1)), np.arange(K)
+        want = full_softmax_token_reference(full, states, states, words)[0]
+        got = cls.score_sentence(states, None, words)[0]
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_depth_one_hierarchy_equals_class_softmax(self):
         rng = make_rng(15)
@@ -176,16 +201,17 @@ class TestEquivalences:
         cls = ClassSoftmax(a, w_class, w_word)
         hier = HierarchicalSoftmax(a, [w_class.copy()], w_word.copy())
         state = rng.normal(size=NH)
-        for target in range(K):
-            assert abs(hier.logprob(state, None, target)
-                       - cls.logprob(state, None, target)) <= 1e-12
+        # each side against the per-token reference, not the engine itself
+        want = class_reference(cls).log_probs(state)
+        for layer in (cls, hier):
+            assert np.abs(log_probs(layer, state) - want).max() <= 1e-12
 
     def test_zero_parameter_binary_tree_is_uniform(self):
         code = hierarchy_uniform_random(8, 2, make_rng(16), branching=2)
         hier = HierarchicalSoftmax.create(code, NH, make_rng(17))
         for w in hier.params().values():
             w[:] = 0.0
-        lp = hier.log_probs(np.ones(NH))
+        lp = log_probs(hier, np.ones(NH))
         np.testing.assert_allclose(np.exp(lp), np.full(8, 1.0 / 8), atol=1e-12)
 
     def test_singleton_leaf_skips_word_factor(self):
@@ -196,10 +222,10 @@ class TestEquivalences:
         hier = HierarchicalSoftmax.create(code, NH, make_rng(19))
         state = make_rng(20).normal(size=NH)
         before = hier.w_word.copy()
-        lp = hier.log_probs(state)
+        lp = log_probs(hier, state)
         assert abs(np.exp(lp).sum() - 1.0) <= 1e-10
         hier.w_word += 100.0
-        np.testing.assert_array_equal(hier.log_probs(state), lp)
+        np.testing.assert_array_equal(log_probs(hier, state), lp)
         hier.w_word[:] = before
 
 
@@ -207,32 +233,34 @@ class TestGradientAccumulation:
     def test_zero_grads_resets(self):
         _, cls = strategies()[1]
         state = make_rng(21).normal(size=NH)
-        cls.logprob_grad(state, None, 3)
+        cls.score_sentence([state], None, [3], grad=True)
         assert any(np.abs(g).sum() > 0 for g in cls.grads().values())
         cls.zero_grads()
         assert all(np.abs(g).sum() == 0 for g in cls.grads().values())
 
     def test_logprob_matches_logprob_grad_value(self):
-        """A one-token sentence scores each target as ``logprob`` does, to a
-        GEMM row's rounding for the full softmax and bit for bit for the
-        looping layers."""
+        """A one-token sentence scores each target as the per-token
+        reference does, to a GEMM row's rounding, with and without
+        gradients alike."""
         for name, strategy in strategies():
             state = make_rng(22).normal(size=NH)
             x = make_rng(23).normal(size=3)
             for target in (0, K - 1, 5):
-                lp = strategy.logprob(state, x, target)
+                if name == "full":
+                    lp = full_softmax_token_reference(strategy, [state], [x],
+                                                      [target])[0][0]
+                else:
+                    lp = class_reference(strategy).logprob(state, x, target)
                 lg, _, _ = strategy.score_sentence([state], [x], [target],
                                                    grad=True)
-                if name == "full":
-                    assert lg[0] == pytest.approx(lp, rel=1e-14), name
-                else:
-                    assert lg[0] == lp, name
+                assert lg[0] == pytest.approx(lp, rel=1e-14), name
+                assert lg[0] == logprob(strategy, state, x, target), name
             strategy.zero_grads()
 
     def test_bad_target_rejected(self):
         for name, strategy in strategies():
             with pytest.raises(ValueError):
-                strategy.logprob(np.zeros(NH), np.zeros(3), K)
+                logprob(strategy, np.zeros(NH), np.zeros(3), K)
 
 
 def sentence_inputs(n_i, T, seed):
@@ -290,25 +318,38 @@ class TestScoreSentence:
     @pytest.mark.parametrize("name,strategy", strategies()[1:],
                              ids=[n for n, _ in strategies()[1:]])
     def test_grouped_equals_token_loop(self, name, strategy):
+        """The sentence engine gives the per-token reference's log-probs,
+        state gradients and parameter gradients within 1e-12 relative, over
+        the same rows; a sentence scored before leaves nothing behind."""
         states, xs, targets = sentence_inputs(3, 12, 35)
         strategy.score_sentence(states[::-1], xs, targets, grad=True)
         logps, d_states, d_inputs = strategy.score_sentence(states, xs, targets,
                                                             grad=True)
-        got = strategy.grads()
-        strategy.zero_grads()
-        steps = [strategy.logprob_grad(s, x, w)
-                 for s, x, w in zip(states, xs, targets)]
-        want = strategy.grads()
+        ref = class_reference(strategy)
+        want_lp, want_ds, _ = ref.score_sentence(states, xs, targets, grad=True)
         assert d_inputs is None
-        assert logps.tobytes() == np.array([lp for lp, _, _ in steps]).tobytes()
-        assert d_states.tobytes() == np.array([ds for _, ds, _ in steps]).tobytes()
-        assert set(got) == set(want) and got.rows.keys() == want.rows.keys()
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes(), key
-        for key in want.rows:
-            assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
-        static = [strategy.logprob(s, x, w) for s, x, w in zip(states, xs, targets)]
-        assert strategy.score_sentence(states, xs, targets)[0].tolist() == static
+        assert_close_rel(logps, want_lp)
+        assert_close_rel(d_states, want_ds)
+        assert_same_grads(strategy.grads(), ref.grads(), strategy.params())
+        static = strategy.score_sentence(states, xs, targets)[0]
+        assert static.tobytes() == logps.tobytes()
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    """Every entry within ``rel`` of the largest magnitude in ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def assert_same_grads(got, want, params):
+    """The same tensors over the same rows, equal within 1e-12 relative
+    once multiplied out and expanded to full shape."""
+    assert set(got) == set(want) and got.rows.keys() == want.rows.keys()
+    for key in want.rows:
+        assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
+    got, want = dense(got, params), dense(want, params)
+    for key in want:
+        assert_close_rel(got[key], want[key])
 
 
 def zipf_vocab(seed=3, n_words=60, n_sents=80):
@@ -359,8 +400,9 @@ IN_PLACE = dict(in_place_layers())
 
 
 class TestInPlaceReads:
-    """Factors that read their weight rows in place score, differentiate and
-    report rows bit for bit as the gathered factors they replaced."""
+    """The sentence engine, which reads wide leaves' weight rows in place
+    and gathers narrow ones, scores, differentiates and reports rows as the
+    per-token gathered factors it replaced, within 1e-12 relative."""
 
     def test_sqrt_frequency_layer_has_slice_and_gather_blocks(self):
         kinds = {type(r) for r in IN_PLACE["sqrt_freq-nobias"]._readers}
@@ -369,28 +411,28 @@ class TestInPlaceReads:
         assert 1 in np.diff(depth3.code.levels[-1])    # a leaf without word factor
 
     @pytest.mark.parametrize("name,layer", IN_PLACE.items(), ids=list(IN_PLACE))
-    def test_matches_gathered_reference(self, name, layer):
+    def test_matches_gathered_reference(self, name, layer, monkeypatch):
+        """Every leaf here is narrow; with ``NARROW`` = 0 every leaf takes
+        the wide shape, one GEMM per leaf, as at k=40k."""
         ref = class_reference(layer)
         k = layer.k
         rng = make_rng(50)
         targets = np.concatenate([rng.permutation(k), rng.integers(0, k, size=30)])
         states = rng.normal(size=(len(targets), 13))
-        for s, w in zip(states, targets.tolist()):
+        assert np.diff(layer.code.levels[-1]).max() <= layer.NARROW
+        if isinstance(layer, ClassSoftmax):
+            factors = np.array([ref.factor_logprobs(s, w)
+                                for s, w in zip(states, targets.tolist())]).T
+        lp_ref, ds_ref, _ = ref.score_sentence(states, None, targets, grad=True)
+        for narrow in (layer.NARROW, 0):
+            monkeypatch.setattr(layer, "NARROW", narrow)
             if isinstance(layer, ClassSoftmax):
-                assert layer.factor_logprobs(s, w) == ref.factor_logprobs(s, w)
-            assert layer.logprob(s, None, w) == ref.logprob(s, None, w)
-        layer.zero_grads()
-        ref.zero_grads()
-        for s, w in zip(states, targets.tolist()):
-            lp, ds, _ = layer.logprob_grad(s, None, w)
-            lp_ref, ds_ref, _ = ref.logprob_grad(s, None, w)
-            assert lp == lp_ref
-            assert ds.tobytes() == ds_ref.tobytes()
-        got, want = layer.grads(), ref.grads()
-        assert list(got) == list(want) and got.rows.keys() == want.rows.keys()
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes(), key
-        for key in want.rows:
-            assert got.rows[key].tobytes() == want.rows[key].tobytes(), key
+                for got, want in zip(layer.factor_logprobs(states, targets),
+                                     factors):
+                    assert_close_rel(got, want)
+            lp, ds, _ = layer.score_sentence(states, None, targets, grad=True)
+            assert_close_rel(lp, lp_ref)
+            assert_close_rel(ds, ds_ref)
+            assert_same_grads(layer.grads(), ref.grads(), layer.params())
         few = targets[:9]
         assert layer.word_rows(few).tobytes() == ref.word_rows(few).tobytes()
